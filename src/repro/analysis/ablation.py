@@ -95,19 +95,9 @@ def _run_cds(
                 architecture, options=options,
             )
         else:
-            # Route cold compiles through the batch front-end like the
-            # corpus and sweep drivers (a one-request batch; the SoA
-            # engine still wins per case, and unsupported options fall
-            # back to the reference scheduler inside compile_many).
-            from repro.schedule.batch.compiler import (
-                CompileRequest,
-                compile_many,
+            schedule = CompleteDataScheduler(architecture, options).schedule(
+                application, clustering
             )
-
-            schedule = compile_many([CompileRequest(
-                "cds", application, architecture,
-                clustering=clustering, options=options,
-            )])[0].unwrap()
     except InfeasibleScheduleError as exc:
         result = AblationResult(
             workload=application.name, variant=variant,

@@ -15,15 +15,6 @@ cases:
   persistent pipeline cache (one cold run fills a temporary cache
   directory, then the warm rerun is timed — the ``cache`` payload
   section records both and the warm speedup);
-* ``schedule_batch``: the structure-of-arrays batch compiler over 100
-  corpus-shaped workloads x three schedulers (dataflow precomputed, so
-  the sample isolates scheduling itself); the ``batch`` payload
-  section also times the same 300 problems on the reference per-case
-  schedulers and records the cold-path speedup ratio;
-* ``corpus_cold_batch``: the end-to-end corpus study with
-  ``engine='batch'`` — schedulers plus codegen, simulation and hazard
-  analysis, so the ratio over ``corpus`` shows what batch compile buys
-  the whole driver rather than the scheduling stage alone;
 * ``service_p50`` / ``service_p99``: request-latency percentiles of a
   self-hosted scheduler-service loadgen campaign
   (:func:`repro.service.bench.run_service_bench`) — the full payload
@@ -148,25 +139,6 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
         if elapsed < best:
             best = elapsed
     return best
-
-
-def _batch_requests():
-    """The schedule_batch workload: 100 corpus-shaped problems x three
-    schedulers, dataflows precomputed (the drivers reuse analyzed
-    dataflows too, so the sample isolates scheduling throughput)."""
-    from repro.schedule.batch.compiler import CompileRequest
-
-    architecture = Architecture.m1("16K")
-    requests = []
-    for seed in range(100):
-        application, clustering = random_application(seed, iterations=48)
-        dataflow = analyze_dataflow(application, clustering)
-        for name in ("basic", "ds", "cds"):
-            requests.append(CompileRequest(
-                name, application, architecture,
-                clustering=clustering, dataflow=dataflow,
-            ))
-    return requests
 
 
 def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
@@ -326,30 +298,10 @@ def run_bench(
                 cds_repeats,
             ),
             "corpus": _best_of(
-                lambda: corpus_study(
-                    range(20), fb="16K", iterations=48, engine="reference"
-                ),
-                corpus_repeats,
-            ),
-            "corpus_cold_batch": _best_of(
                 lambda: corpus_study(range(20), fb="16K", iterations=48),
                 corpus_repeats,
             ),
         }
-        from repro.schedule.batch.compiler import compile_many
-
-        # Milliseconds per run, so the batch samples keep the full
-        # repeat count even in quick mode — best-of-1 is too noisy for
-        # the speedup ratio the docs quote.
-        requests = _batch_requests()
-        batch_seconds = _best_of(
-            lambda: compile_many(requests), cds_repeats
-        )
-        reference_seconds = _best_of(
-            lambda: compile_many(requests, engine="reference"),
-            cds_repeats,
-        )
-        scalability["schedule_batch"] = batch_seconds
         # Warm-vs-cold cache scenario: one cold run fills a throwaway
         # cache directory (timed once — a second "cold" run would
         # already hit), then the warm rerun is the gated sample.  The
@@ -398,14 +350,6 @@ def run_bench(
             "corpus_warm": corpus_warm,
             "warm_speedup": (
                 corpus_cold / corpus_warm if corpus_warm > 0 else None
-            ),
-        },
-        "batch": {
-            "schedule_batch": batch_seconds,
-            "schedule_reference": reference_seconds,
-            "batch_speedup": (
-                reference_seconds / batch_seconds
-                if batch_seconds > 0 else None
             ),
         },
         "service": service,
@@ -478,20 +422,6 @@ def render_bench(payload: Dict[str, object]) -> str:
         lines.append(
             f"  warm rerun      {cache['corpus_warm'] * 1000.0:9.3f} ms"
             f"{extra}"
-        )
-    batch = payload.get("batch")
-    if batch:
-        lines.append(
-            "batch compile (100 corpus workloads x 3 schedulers, cold):"
-        )
-        lines.append(
-            f"  batch engine    {batch['schedule_batch'] * 1000.0:9.3f} ms"
-        )
-        batch_speedup = batch.get("batch_speedup")
-        extra = f"  ({batch_speedup:4.2f}x vs reference)" if batch_speedup else ""
-        lines.append(
-            f"  reference       "
-            f"{batch['schedule_reference'] * 1000.0:9.3f} ms{extra}"
         )
     service = payload.get("service")
     if service:

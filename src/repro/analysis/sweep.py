@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.compare import compare_workload, compare_workloads
+from repro.analysis.compare import compare_workloads
 from repro.analysis.parallel import default_jobs, parallel_map
 from repro.arch.params import Architecture
 from repro.core.application import Application
@@ -59,10 +59,9 @@ def _sweep_chunk(task) -> List[SweepPoint]:
     """One worker's share of FB sizes (top-level: picklable).
 
     The chunk's scheduling problems — three schedulers at every size —
-    compile in one batch; sizes may differ per request because the
-    batch tables carry a per-case capacity.
+    compile in one batch over one shared dataflow analysis.
     """
-    application, clustering, words_list, cache_dir, engine = task
+    application, clustering, words_list, cache_dir = task
     cache = None
     if cache_dir is not None:
         from repro.cache import CacheStore
@@ -73,7 +72,7 @@ def _sweep_chunk(task) -> List[SweepPoint]:
             (application, clustering, Architecture.m1(words), None)
             for words in words_list
         ],
-        cache=cache, engine=engine,
+        cache=cache,
     )
     return [
         _row_to_point(row, words)
@@ -89,7 +88,6 @@ def sweep_fb_sizes(
     architecture_factory: Callable[[int], Architecture] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    engine: str = "batch",
 ) -> List[SweepPoint]:
     """Run the three-scheduler comparison at each frame-buffer size.
 
@@ -100,7 +98,8 @@ def sweep_fb_sizes(
     ``jobs`` partitions the sizes over worker processes (``None``/``1``
     = serial, ``0`` = one per CPU) with identical results; each
     worker's share compiles in one :mod:`repro.schedule.batch` pass
-    (``engine='reference'`` keeps the per-case scheduler).  A custom
+    over one dataflow analysis, so DS and CDS at every size share the
+    occupancy sweeps behind their RF searches.  A custom
     ``architecture_factory`` (often a closure, not picklable) forces
     the serial, uncached path.  ``cache_dir`` enables the persistent
     pipeline cache for the standard-architecture path.
@@ -116,7 +115,7 @@ def sweep_fb_sizes(
         chunk_points = parallel_map(
             _sweep_chunk,
             [
-                (application, clustering, chunk, cache_dir, engine)
+                (application, clustering, chunk, cache_dir)
                 for chunk in chunks
             ],
             jobs=jobs,
@@ -125,14 +124,11 @@ def sweep_fb_sizes(
         for chunk, points in zip(chunks, chunk_points):
             by_words.update(zip(chunk, points))
         return [by_words[words] for words in words_list]
-    points: List[SweepPoint] = []
-    for words in words_list:
-        row = compare_workload(
-            application, clustering, architecture_factory(words),
-            engine=engine,
-        )
-        points.append(_row_to_point(row, words))
-    return points
+    rows = compare_workloads([
+        (application, clustering, architecture_factory(words), None)
+        for words in words_list
+    ])
+    return [_row_to_point(row, words) for row, words in zip(rows, words_list)]
 
 
 def render_sweep(points: Sequence[SweepPoint], *, title: str = "") -> str:

@@ -257,7 +257,7 @@ def _cmd_sweep(args) -> None:
     sizes = [kwords(k) for k in (0.5, 1, 1.5, 2, 3, 4, 6, 8, 12, 16)]
     points = sweep_fb_sizes(
         application, clustering, sizes, jobs=args.jobs,
-        cache_dir=args.cache_dir, engine=args.engine,
+        cache_dir=args.cache_dir,
     )
     print(render_sweep(
         points, title=f"frame-buffer sweep of {spec.id} "
@@ -270,7 +270,7 @@ def _cmd_corpus(args) -> None:
 
     stats = corpus_study(
         range(args.seeds), fb=args.fb, iterations=args.iterations,
-        jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
+        jobs=args.jobs, cache_dir=args.cache_dir,
     )
     print(stats.summary())
 
@@ -682,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "default serial)")
     sweep.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persistent pipeline cache directory")
-    sweep.add_argument("--engine", choices=("batch", "reference"),
-                       default="batch",
-                       help="compile engine for cold points (default "
-                            "batch; reference = per-case scheduler)")
     sweep.set_defaults(func=_cmd_sweep)
     corpus = sub.add_parser(
         "corpus", help="random-workload robustness study"
@@ -701,10 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default serial)")
     corpus.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persistent pipeline cache directory")
-    corpus.add_argument("--engine", choices=("batch", "reference"),
-                        default="batch",
-                        help="compile engine for cold seeds (default "
-                             "batch; reference = per-case scheduler)")
     corpus.set_defaults(func=_cmd_corpus)
     tinyrisc = sub.add_parser(
         "tinyrisc", help="emit the TinyRISC control program"
@@ -832,8 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--oracle", action="append", metavar="NAME",
                       choices=ORACLE_NAMES,
                       help="restrict to one oracle (repeatable; default "
-                           "the full stack) — e.g. --oracle batchcompile "
-                           "for a wide batch-vs-reference compile sweep")
+                           "the full stack) — e.g. --oracle progequiv "
+                           "for a wide codegen-backend sweep")
     fuzz.set_defaults(func=_cmd_fuzz)
     gap = sub.add_parser(
         "gap",

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.codegen.program import Program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
-from repro.codegen.verifier import _survivors
+from repro.codegen.verifier import drain_survivors
 
 __all__ = ["fast_violation_free"]
 
@@ -233,7 +233,7 @@ def _replay_round(
         memo_key = (template.cluster_index, fb_set)
         survivors = survivors_memo.get(memo_key)
         if survivors is None:
-            survivors = _survivors(schedule, template.cluster_index, fb_set)
+            survivors = drain_survivors(schedule, template.cluster_index, fb_set)
             survivors_memo[memo_key] = survivors
         present[fb_set] = {
             name: arr for name, arr in in_set.items() if name in survivors

@@ -40,6 +40,7 @@ __all__ = [
     "ProgramViolation",
     "verify_program",
     "collect_program_violations",
+    "drain_survivors",
     "iter_program_violations",
 ]
 
@@ -271,7 +272,7 @@ def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
         memo_key = (visit.cluster_index, visit.fb_set)
         survivors = survivors_memo.get(memo_key)
         if survivors is None:
-            survivors = _survivors(schedule, visit.cluster_index, visit.fb_set)
+            survivors = drain_survivors(schedule, visit.cluster_index, visit.fb_set)
             survivors_memo[memo_key] = survivors
         present[visit.fb_set] = {
             name: bucket
@@ -298,9 +299,10 @@ def _block_capacity(program: Program) -> int:
     ) or 1
 
 
-def _survivors(schedule, cluster_index: int, fb_set: int) -> Set[str]:
+def drain_survivors(schedule, cluster_index: int, fb_set: int) -> Set[str]:
     """Kept object names that remain resident in *fb_set* after the
-    cluster's visit ends."""
+    cluster's visit ends (the drain-survivor rule shared by the
+    verifiers and the hazard IR)."""
     survivors: Set[str] = set()
     for keep in schedule.keeps:
         if keep.fb_set != fb_set:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.cluster import Cluster, Clustering
@@ -117,12 +117,34 @@ class DataflowInfo:
         self.application = application
         self.clustering = clustering
         self._info = info
+        self._reset_memos()
+
+    def _reset_memos(self) -> None:
         # Memo tables for the per-cluster queries below: dataflow facts
         # are immutable once analyzed, and the schedulers/codegen re-ask
         # the same questions thousands of times on large workloads.
         self._last_use_memo: Dict[Tuple[str, int], Optional[str]] = {}
         self._inputs_memo: Dict[int, Tuple[str, ...]] = {}
         self._produced_memo: Dict[int, Tuple[str, ...]] = {}
+        #: ``cluster_sweep_peak`` results per ``(cluster, rf,
+        #: local-kept names)``, read and written by
+        #: :class:`~repro.schedule.occupancy.OccupancyEngine`.  The peak
+        #: does not depend on the FB capacity, so every engine over this
+        #: dataflow (DS and CDS, every FB size of a sweep) shares it.
+        self.sweep_peak_memo: Dict[Tuple[int, int, FrozenSet[str]], int] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memos are derived data: cache entries and worker results
+        # carry the dataflow of every schedule, so ship only the facts.
+        return {
+            "application": self.application,
+            "clustering": self.clustering,
+            "_info": self._info,
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._reset_memos()
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: dataflow facts are a pure function of the

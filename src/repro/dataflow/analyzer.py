@@ -13,7 +13,6 @@ package, and module-level imports in the other direction would cycle.
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.codegen.program import Program
@@ -45,36 +44,34 @@ class _ProgramAnalysis:
     --policy sound``, the ``hazards`` fuzz oracle) used to rebuild the
     allocation maps and the whole def-use IR per policy; the IR is
     policy-independent, and the happens-before closure only depends on
-    (program, policy).  Entries are keyed by program identity and
-    evicted by a weak-reference finalizer — a ``Program`` is not
-    hashable, but its lowering is pure, so identity is the right key.
+    (program, policy).  The entry lives on the program it describes
+    (``Program`` is not hashable, but its lowering is pure), so it dies
+    with the program: the IR points back at its program, and a memo
+    held anywhere else would keep every analyzed program alive.
+    Pickling drops the memoized state.
     """
 
-    __slots__ = ("ref", "allocations", "ir", "hb_by_policy")
+    __slots__ = ("allocations", "ir", "hb_by_policy")
 
     def __init__(self) -> None:
-        self.ref: Optional[weakref.ref] = None
         self.allocations: Optional[Sequence[object]] = None
         self.ir: Optional[ProgramIR] = None
         self.hb_by_policy: Dict[DmaPolicy, HappensBefore] = {}
 
+    def __reduce__(self):
+        return (_ProgramAnalysis, ())
 
-_ANALYSIS_MEMO: Dict[int, _ProgramAnalysis] = {}
+
+_MEMO_ATTRIBUTE = "_hazard_analysis"
 
 
 def _analysis_for(program: Program) -> _ProgramAnalysis:
-    key = id(program)
-    entry = _ANALYSIS_MEMO.get(key)
-    if entry is not None and entry.ref is not None and entry.ref() is program:
-        return entry
-    entry = _ProgramAnalysis()
-
-    def _evict(_ref: object, key: int = key, entry: _ProgramAnalysis = entry) -> None:
-        if _ANALYSIS_MEMO.get(key) is entry:
-            del _ANALYSIS_MEMO[key]
-
-    entry.ref = weakref.ref(program, _evict)
-    _ANALYSIS_MEMO[key] = entry
+    entry = program.__dict__.get(_MEMO_ATTRIBUTE)
+    if entry is None:
+        entry = _ProgramAnalysis()
+        # Program is a frozen dataclass; the memo is not a field, so
+        # equality, hashing and repr are unaffected.
+        object.__setattr__(program, _MEMO_ATTRIBUTE, entry)
     return entry
 
 

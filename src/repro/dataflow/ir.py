@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.arch.frame_buffer import Extent
 from repro.codegen.ops import VisitOps
 from repro.codegen.program import Program
+from repro.codegen.verifier import drain_survivors
 
 __all__ = [
     "CONTEXT_LOAD",
@@ -425,7 +426,7 @@ def lower_program(
         survivors_key = (visit.cluster_index, fb_set)
         survivors = survivors_memo.get(survivors_key)
         if survivors is None:
-            survivors = _survivors(schedule, visit.cluster_index, fb_set)
+            survivors = drain_survivors(schedule, visit.cluster_index, fb_set)
             survivors_memo[survivors_key] = survivors
         drained = {
             key: value for key, value in in_set.items()
@@ -462,19 +463,6 @@ def lower_program(
         cm_block_capacity=schedule.context_block_words
         or _derived_block_capacity(program.visits),
     )
-
-
-def _survivors(schedule, cluster_index: int, fb_set: int) -> Set[str]:
-    """Kept names still resident in *fb_set* after the cluster's visit
-    (the verifier's survivor rule)."""
-    survivors: Set[str] = set()
-    for keep in schedule.keeps:
-        if keep.fb_set != fb_set:
-            continue
-        first, last = keep.span
-        if first <= cluster_index < last:
-            survivors.add(keep.name)
-    return survivors
 
 
 def _derived_block_capacity(visits: Sequence[VisitOps]) -> int:

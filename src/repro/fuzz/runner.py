@@ -151,9 +151,8 @@ def run_fuzz(
             warm reruns (byte-identical to a cold run).
         oracles: restrict the campaign to a subset of
             :data:`~repro.fuzz.oracles.ORACLE_NAMES` — e.g.
-            ``("batchcompile",)`` runs the wide batch-vs-reference
-            compile sweep without simulation, cheap enough for a
-            10k-case CI pass.
+            ``("progequiv",)`` runs the wide codegen-backend sweep
+            without simulation, cheap enough for a 5k-case CI pass.
 
     Returns:
         A :class:`FuzzReport`; ``report.ok`` is the pass/fail verdict.

@@ -34,7 +34,6 @@ __all__ = [
     "DataSchedulerBase",
     "derive_cluster_plans",
     "derive_plan_skeleton",
-    "assemble_schedule",
 ]
 
 
@@ -353,12 +352,14 @@ class DataSchedulerBase(abc.ABC):
                 dataflow, rf, keeps,
                 lambda index: cluster_data_size_naive(dataflow, index, rf, keeps),
             )
-        return assemble_schedule(
-            self.name,
-            dataflow,
+        return Schedule(
+            scheduler=self.name,
+            application=dataflow.application,
+            clustering=dataflow.clustering,
+            dataflow=dataflow,
             rf=rf,
-            keeps=keeps,
-            occupancy=occupancy,
+            keeps=tuple(keeps),
+            cluster_plans=derive_cluster_plans(dataflow, keeps, occupancy),
             contexts_per_iteration=contexts_per_iteration,
             fb_set_words=self.architecture.fb_set_words,
             context_block_words=self.architecture.context_block_words,
@@ -370,22 +371,8 @@ def derive_cluster_plans(
     dataflow: DataflowInfo,
     keeps: Sequence[KeepDecision],
     occupancy: Dict[int, int],
-    *,
-    skeleton: Optional[Tuple[Tuple, ...]] = None,
 ) -> Tuple[ClusterPlan, ...]:
-    """Derive per-cluster load/keep/store/retain lists from a decision.
-
-    Shared by the per-case schedulers (via :meth:`DataSchedulerBase.
-    _build_schedule`) and the batch compiler's finalizer
-    (:mod:`repro.schedule.batch`): both must emit byte-identical plans
-    for one ``(keeps, occupancy)`` decision, so there is exactly one
-    implementation of the derivation.  ``skeleton`` (from
-    :func:`derive_plan_skeleton` on the *same* ``(dataflow, keeps)``)
-    skips re-walking the object graph — the batch compiler shares one
-    no-keep skeleton across the Basic and DS requests of a workload.
-    """
-    if skeleton is None:
-        skeleton = derive_plan_skeleton(dataflow, keeps)
+    """Derive per-cluster load/keep/store/retain lists from a decision."""
     return tuple(
         ClusterPlan(
             cluster_index=index,
@@ -396,7 +383,8 @@ def derive_cluster_plans(
             retained_outputs=retained,
             peak_occupancy=occupancy[index],
         )
-        for index, fb_set, loads, kept_inputs, stores, retained in skeleton
+        for index, fb_set, loads, kept_inputs, stores, retained
+        in derive_plan_skeleton(dataflow, keeps)
     )
 
 
@@ -474,37 +462,6 @@ def derive_plan_skeleton(
             tuple(retained),
         ))
     return tuple(rows)
-
-
-def assemble_schedule(
-    scheduler_name: str,
-    dataflow: DataflowInfo,
-    *,
-    rf: int,
-    keeps: Sequence[KeepDecision],
-    occupancy: Dict[int, int],
-    contexts_per_iteration: bool,
-    fb_set_words: int,
-    context_block_words: int,
-    overlap_transfers: bool = True,
-    skeleton: Optional[Tuple[Tuple, ...]] = None,
-) -> Schedule:
-    """Assemble the final :class:`Schedule` from a validated decision."""
-    return Schedule(
-        scheduler=scheduler_name,
-        application=dataflow.application,
-        clustering=dataflow.clustering,
-        dataflow=dataflow,
-        rf=rf,
-        keeps=tuple(keeps),
-        cluster_plans=derive_cluster_plans(
-            dataflow, keeps, occupancy, skeleton=skeleton
-        ),
-        contexts_per_iteration=contexts_per_iteration,
-        fb_set_words=fb_set_words,
-        context_block_words=context_block_words,
-        overlap_transfers=overlap_transfers,
-    )
 
 
 def _keep_serving(

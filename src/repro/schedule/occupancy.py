@@ -16,7 +16,9 @@ two structural facts instead:
    whose span covers the cluster) plus a *sweep peak* that depends on
    the keeps only through the set of kept names local to the cluster
    (:func:`repro.core.metrics.cluster_sweep_peak`).  Sweep peaks are
-   memoised on ``(cluster, rf, local-kept-names)``.
+   memoised on ``(cluster, rf, local-kept-names)`` in the dataflow's
+   ``sweep_peak_memo``: they do not depend on the FB capacity, so every
+   engine over one dataflow shares them.
 2. Accepting a keep only changes the occupancy of clusters inside its
    residency span (same set) or among its cross-set consumers — so a
    trial re-evaluates **O(affected clusters)**, while per-set "unfit"
@@ -27,9 +29,9 @@ every reported occupancy equals the naive recomputation bit for bit
 (property-tested against :func:`cluster_data_size_naive`-backed
 selection in ``tests/schedule/test_occupancy_equivalence.py``).
 
-One engine instance serves one ``DataflowInfo``; ``rf_policy="joint"``
-re-enters keep selection once per candidate RF and shares the same
-sweep memo across all of them.
+One engine instance serves one ``DataflowInfo`` at one capacity;
+``rf_policy="joint"`` re-enters keep selection once per candidate RF.
+RF probe verdicts depend on the capacity and stay per engine.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class OccupancyEngine:
         #: a decision.
         self.recorder = None
         self._clusters = list(dataflow.clustering)
-        self._sweep_memo: Dict[Tuple[int, int, FrozenSet[str]], int] = {}
+        self._sweep_memo = dataflow.sweep_peak_memo
         # RF feasibility verdicts per (keep-set fingerprint, rf): the
         # gallop/bisection hand-offs and repeated searches over the same
         # keep set never re-run a full fits() sweep.  One keep per

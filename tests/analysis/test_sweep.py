@@ -52,3 +52,27 @@ class TestSweep:
         assert "demo sweep" in text
         assert "infeasible" in text
         assert "1K" in text
+
+
+def test_sweep_computes_each_sweep_peak_once(monkeypatch):
+    """Every FB size of a sweep, DS and CDS alike, shares one dataflow
+    analysis and with it the occupancy sweep memo: no ``(cluster, rf,
+    local kept names)`` sweep peak is computed twice."""
+    import repro.schedule.occupancy as occupancy
+    from repro.workloads.spec import paper_experiments
+
+    calls = []
+    real = occupancy.cluster_sweep_peak
+
+    def counting(dataflow, cluster_index, rf, local_kept):
+        calls.append((cluster_index, rf, frozenset(local_kept)))
+        return real(dataflow, cluster_index, rf, local_kept)
+
+    monkeypatch.setattr(occupancy, "cluster_sweep_peak", counting)
+    spec = next(s for s in paper_experiments() if s.id == "MPEG")
+    application, clustering = spec.build()
+    points = sweep_fb_sizes(application, clustering, ["2K", "4K"])
+    assert all(point.ds_feasible for point in points)
+    assert any(point.kept_items for point in points)
+    assert calls
+    assert len(calls) == len(set(calls))

@@ -1,8 +1,7 @@
 """Template-compiled codegen vs. the reference generator: byte-identical.
 
-The template backend (:mod:`repro.codegen.templated`) promises the same
-contract the batch compiler does for schedules: ``generate_program(...,
-engine='templated')`` produces **exactly** the program the reference
+The template backend (:mod:`repro.codegen.templated`) promises that
+``generate_program(..., engine='templated')`` produces **exactly** the program the reference
 generator emits — same visits, same ops in the same order, under both
 context-reuse modes — and the vectorized fast verifier returns exactly
 the violation list (and first-violation error) the reference replay

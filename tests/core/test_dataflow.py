@@ -136,3 +136,32 @@ class TestContainerProtocol:
     def test_iter_covers_all_objects(self, sharing_app, sharing_dataflow):
         names = {info.name for info in sharing_dataflow}
         assert names == set(sharing_app.objects)
+
+
+def test_pickle_drops_memo_tables():
+    """Pickled dataflows carry the analysis facts, not the memo tables
+    the schedulers filled; the copy compares equal and starts with
+    empty memos."""
+    import pickle
+
+    from repro.arch.params import Architecture
+    from repro.schedule.complete import CompleteDataScheduler
+    from repro.workloads.spec import paper_experiments
+
+    spec = next(s for s in paper_experiments() if s.id == "MPEG")
+    application, clustering = spec.build()
+    dataflow = analyze_dataflow(application, clustering)
+    CompleteDataScheduler(Architecture.m1(spec.fb)).schedule(
+        application, clustering, dataflow=dataflow
+    )
+    memos = ("_last_use_memo", "_inputs_memo", "_produced_memo",
+             "sweep_peak_memo")
+    assert all(getattr(dataflow, name) for name in memos)
+
+    fresh = pickle.dumps(analyze_dataflow(application, clustering))
+    payload = pickle.dumps(dataflow)
+    assert len(payload) == len(fresh)
+    copy = pickle.loads(payload)
+    assert copy == dataflow
+    assert not any(getattr(copy, name) for name in memos)
+    assert copy.inputs_of_cluster(0) == dataflow.inputs_of_cluster(0)

@@ -8,6 +8,7 @@ from repro.arch.params import Architecture
 from repro.dataflow.analyzer import (
     analyze_program,
     analyze_schedule,
+    build_ir,
     hazard_errors,
     parse_policy,
 )
@@ -44,6 +45,27 @@ def test_analyze_schedule_returns_program_and_collector():
     assert program.schedule is schedule
     assert not collector.diagnostics
     assert hazard_errors(collector) == ()
+
+
+def test_analysis_memo_dies_with_its_program():
+    """The memoized IR points back at its program, so a memo held
+    outside the program kept every analyzed program alive."""
+    import gc
+    import pickle
+    import weakref
+
+    schedule, _ = build_schedule("E2", "cds")
+    program, _ = analyze_schedule(schedule)
+    analyze_program(program, policy=DmaPolicy.LOADS_FIRST)
+    assert build_ir(program) is build_ir(program)
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy == program
+    assert build_ir(copy) is not build_ir(program)
+
+    alive = weakref.ref(program)
+    del program, copy
+    gc.collect()
+    assert alive() is None
 
 
 def test_hazard_errors_filters_to_error_haz(e1_ds_program):

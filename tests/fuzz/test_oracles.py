@@ -281,7 +281,7 @@ def test_progequiv_oracle_flags_divergent_stamping(monkeypatch):
 def test_oracle_names_are_stable():
     assert set(ORACLE_NAMES) == {
         "probes", "diagnostics", "feasibility", "traffic", "engine",
-        "trace", "batchcompile", "exactgap", "progequiv", "freelist",
+        "trace", "exactgap", "progequiv", "freelist",
         "verifier", "hazards", "simengine", "functional",
     }
     failure = OracleFailure("traffic", "case", "msg", scheduler="cds")

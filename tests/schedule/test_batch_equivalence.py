@@ -1,62 +1,59 @@
-"""Batch compiler vs. reference schedulers: byte-identical, always.
+"""``compile_many`` vs. one scheduler call per request.
 
-The structure-of-arrays batch engine (:mod:`repro.schedule.batch`)
-promises the same contract the incremental occupancy engine does:
-``compile_many(requests, engine='batch')`` produces **exactly** the
-schedules the per-case schedulers would — same RF, same keeps in the
-same order, same cluster plans — and, for infeasible cases, the same
-:class:`~repro.errors.InfeasibleScheduleError` payload (message,
-cluster, word counts).  Infeasible cases must never poison their batch
-neighbors.  These tests enforce the contract over the fuzz generator
-matrix (500+ cases), the paper experiments, an options matrix, and the
-batch-shape edge cases (empty, single, all-infeasible, mixed).
+:func:`repro.schedule.batch.compile_many` must return, for every
+request, exactly what the request's scheduler returns on its own: the
+same schedule, or the same :class:`~repro.errors.InfeasibleScheduleError`
+payload (message, cluster, word counts).  Infeasible cases must never
+poison their batch neighbors.  These tests cover the batch shapes:
+empty, single, all-infeasible and mixed.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.arch.params import Architecture
 from repro.errors import InfeasibleScheduleError
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.generator import generate_case, regime_names
-from repro.schedule.base import ScheduleOptions
-from repro.schedule.batch.compiler import CompileRequest, compile_many
+from repro.fuzz.generator import generate_case
+from repro.schedule.basic import BasicScheduler
+from repro.schedule.batch import CompileRequest, compile_many
+from repro.schedule.complete import CompleteDataScheduler
+from repro.schedule.data_scheduler import DataScheduler
 from repro.workloads.random_gen import random_application
-from repro.workloads.spec import paper_experiments
 
-_SCHEDULERS = ("basic", "ds", "cds")
+_SCHEDULERS = {
+    "basic": BasicScheduler,
+    "ds": DataScheduler,
+    "cds": CompleteDataScheduler,
+}
 
 
 def _error_payload(error):
     return (str(error), error.cluster, error.required, error.available)
 
 
-def _fingerprint(result):
-    """One comparable value per result: error payload or schedule."""
-    if result.error is not None:
-        return ("infeasible", _error_payload(result.error))
-    schedule = result.schedule
-    return (
-        "feasible", schedule.rf, schedule.keeps, schedule.cluster_plans,
-        schedule.contexts_per_iteration, schedule.overlap_transfers,
+def _solo(request):
+    """The request's scheduler run on its own."""
+    scheduler = _SCHEDULERS[request.scheduler](
+        request.architecture, request.options
     )
+    try:
+        return scheduler.schedule(request.application, request.clustering)
+    except InfeasibleScheduleError as exc:
+        return exc
 
 
-def _assert_batch_matches_reference(requests):
-    batch = compile_many(requests, engine="batch")
-    reference = compile_many(requests, engine="reference")
-    assert len(batch) == len(reference) == len(requests)
-    for index, (b, r) in enumerate(zip(batch, reference)):
-        assert _fingerprint(b) == _fingerprint(r), (
-            f"request {index} ({requests[index].scheduler}) diverged"
-        )
-        # Full schedule equality, not just the fingerprint: every field
-        # of the dataclass tree must agree.
-        if b.schedule is not None:
-            assert b.schedule == r.schedule, (
-                f"request {index}: schedules differ beyond fingerprint"
-            )
-    return batch
+def _assert_matches_solo_runs(requests):
+    results = compile_many(requests)
+    assert len(results) == len(requests)
+    for index, (result, request) in enumerate(zip(results, requests)):
+        solo = _solo(request)
+        if isinstance(solo, InfeasibleScheduleError):
+            assert result.schedule is None, f"request {index} feasible"
+            assert _error_payload(result.error) == _error_payload(solo)
+        else:
+            assert result.error is None, f"request {index} infeasible"
+            assert result.schedule == solo, f"request {index} diverged"
+    return results
 
 
 def _case_requests(case: FuzzCase):
@@ -69,59 +66,13 @@ def _case_requests(case: FuzzCase):
     ]
 
 
-def test_fuzz_matrix_byte_identical():
-    """The acceptance matrix: every regime x 35 seeds x 3 schedulers
-    (525+ compile problems) in ONE batch, compared case by case."""
-    requests = []
-    for regime in regime_names():
-        for seed in range(35):
-            requests.extend(_case_requests(generate_case(regime, seed)))
-    assert len(requests) >= 500
-    results = _assert_batch_matches_reference(requests)
-    # The matrix must exercise both outcomes, or it proves nothing.
-    assert any(r.feasible for r in results)
-    assert any(not r.feasible for r in results)
-
-
-def test_paper_experiments_byte_identical():
-    requests = []
-    for spec in paper_experiments():
-        application, clustering = spec.build()
-        architecture = Architecture.m1(spec.fb)
-        requests.extend(
-            CompileRequest(name, application, architecture,
-                           clustering=clustering)
-            for name in _SCHEDULERS
-        )
-    results = _assert_batch_matches_reference(requests)
-    assert all(r.feasible for r in results)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=5000),
-    st.sampled_from(["1K", "2K", "4K", "16K"]),
-    st.sampled_from([0, 1, 3]),
-    st.sampled_from(["tf", "size", "fifo"]),
-)
-def test_options_matrix_byte_identical(seed, fb, rf_cap, keep_policy):
-    application, clustering = random_application(seed, iterations=4)
-    architecture = Architecture.m1(fb)
-    options = ScheduleOptions(rf_cap=rf_cap, keep_policy=keep_policy)
-    _assert_batch_matches_reference([
-        CompileRequest(name, application, architecture,
-                       clustering=clustering, options=options)
-        for name in _SCHEDULERS
-    ])
-
-
 def test_empty_batch():
     assert compile_many([]) == []
 
 
 def test_single_case_batch():
     application, clustering = random_application(7, iterations=4)
-    results = _assert_batch_matches_reference([
+    results = _assert_matches_solo_runs([
         CompileRequest("cds", application, Architecture.m1("4K"),
                        clustering=clustering)
     ])
@@ -135,7 +86,7 @@ def test_all_infeasible_batch():
         case = generate_case("tiny_fb", seed)
         case.fb_words = 64
         requests.extend(_case_requests(case))
-    results = _assert_batch_matches_reference(requests)
+    results = _assert_matches_solo_runs(requests)
     assert all(not r.feasible for r in results)
     for result in results:
         assert isinstance(result.error, InfeasibleScheduleError)
@@ -145,8 +96,7 @@ def test_all_infeasible_batch():
 
 def test_mixed_batch_no_neighbor_poisoning():
     """Feasible cases schedule identically whether or not infeasible
-    cases share their batch — an infeasible neighbor must not perturb
-    the lockstep RF search or keep acceptance of the survivors."""
+    cases share their batch."""
     feasible_app, feasible_cl = random_application(11, iterations=4)
     architecture = Architecture.m1("4K")
     feasible = [
@@ -158,15 +108,15 @@ def test_mixed_batch_no_neighbor_poisoning():
     doomed_case.fb_words = 64
     doomed = _case_requests(doomed_case)
 
-    alone = compile_many(feasible, engine="batch")
+    alone = compile_many(feasible)
     # Infeasible requests interleaved before, between, and after.
     mixed_requests = [doomed[0], feasible[0], doomed[1], feasible[1],
                       feasible[2], doomed[2]]
-    mixed = compile_many(mixed_requests, engine="batch")
+    mixed = compile_many(mixed_requests)
     survivors = [mixed[1], mixed[3], mixed[4]]
     for solo, shared in zip(alone, survivors):
         assert solo.feasible and shared.feasible
         assert solo.schedule == shared.schedule
     for index in (0, 2, 5):
         assert not mixed[index].feasible
-    _assert_batch_matches_reference(mixed_requests)
+    _assert_matches_solo_runs(mixed_requests)

@@ -330,13 +330,14 @@ def test_batch_bad_requests(server):
         server, "/v1/batch", "POST", encode_json({"cases": []})
     )
     assert status == 400
+    # "engine" is not a batch key: rejected like any other unknown key.
     status, raw = request(
         server, "/v1/batch", "POST",
-        encode_json({"cases": [{"experiment": "E1"}], "engine": "warp"}),
+        encode_json({"cases": [{"experiment": "E1"}], "engine": "batch"}),
     )
     payload = json.loads(raw)
     assert status == 400
-    assert "unknown engine" in payload["error"]["message"]
+    assert "unknown request key" in payload["error"]["message"]
 
 
 def test_unknown_route_and_wrong_method(server):
