@@ -569,10 +569,7 @@ class _SetAllocation:
         )
 
     def _snapshot(self, label: str) -> None:
-        regions = tuple(
-            (name, instance, self.regions.extents_of(name, instance))
-            for (name, instance) in self.regions.live_regions()
-        )
-        self.map.snapshots.append(
-            Snapshot(label=label, step=self.step, regions=regions)
-        )
+        self.map.snapshots.append(Snapshot(
+            label=label, step=self.step,
+            regions=self.regions.live_region_extents(),
+        ))

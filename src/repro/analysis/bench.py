@@ -29,7 +29,10 @@ The ``codegen``/``verify`` stages are pinned to the reference codegen
 backend for cross-baseline continuity; ``codegen_templated`` and
 ``verify_fast`` time the template-compiled generator (with full visit
 materialization forced) and the vectorized fast-verification path the
-drivers now default to.  ``repro bench --profile-stages`` skips the
+drivers now default to.  ``analyze`` times the hazard analyzer
+(:func:`~repro.dataflow.analyzer.analyze_program`, default DMA policy)
+on each CDS program, the per-row cost ``corpus_study`` pays.
+``repro bench --profile-stages`` skips the
 timed run and prints a cProfile breakdown per stage instead
 (:func:`profile_stages`).
 
@@ -58,6 +61,7 @@ from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.codegen.verifier import verify_program
 from repro.core.dataflow import analyze_dataflow
+from repro.dataflow.analyzer import analyze_program
 from repro.schedule.complete import CompleteDataScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.random_gen import random_application
@@ -95,7 +99,7 @@ PRE_PR_BASELINE: Dict[str, object] = {
 
 STAGES = (
     "dataflow", "cds", "alloc", "codegen", "codegen_templated", "verify",
-    "verify_fast", "lint", "simulate", "simulate_traced",
+    "verify_fast", "lint", "simulate", "simulate_traced", "analyze",
 )
 
 
@@ -151,6 +155,10 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
     apples-to-apples with the reference build) and the vectorized
     fast-verification path on a templated program.  The simulate
     stages run the reference program for the same continuity reason.
+    ``analyze`` runs the hazard analyzer under the default DMA policy on
+    a freshly generated program per call: the analysis memo lives on
+    the program, so reusing one would time a dict lookup.  Generating
+    the (lazily stamped) program is well under 1% of the sample.
     """
     from repro.lint.runner import lint_schedule
 
@@ -189,6 +197,7 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
         "simulate_traced": lambda: Simulator(
             MorphoSysM1(architecture)
         ).run(reference),
+        "analyze": lambda: analyze_program(generate_program(schedule)),
     }
 
 

@@ -15,6 +15,7 @@ in the test suite.  :class:`FrameBuffer` bundles two sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +59,11 @@ class FrameBufferSet:
     Regions are identified by ``(name, instance)`` where *instance*
     distinguishes iteration copies of the same logical object under
     loop fission.
+
+    Live extents are disjoint, so a sorted index of them answers
+    :meth:`bind`'s overlap check from one bisected neighbour per new
+    extent, in ``O(log n)``; a hit falls back to the scan over the
+    region directory, which names the overlapped region.
     """
 
     def __init__(self, capacity_words: int, *, set_index: int = 0,
@@ -70,6 +76,9 @@ class FrameBufferSet:
         self.capacity_words = capacity_words
         self.set_index = set_index
         self._regions: Dict[Tuple[str, int], Tuple[Extent, ...]] = {}
+        # Every live extent as a sorted (start, end) index; disjoint,
+        # since bind rejects any overlap.
+        self._index: List[Tuple[int, int]] = []
         self._words: Optional[np.ndarray] = (
             np.zeros(capacity_words, dtype=np.int64) if functional else None
         )
@@ -80,8 +89,9 @@ class FrameBufferSet:
         """Register a region occupying *extents*.
 
         Raises:
-            AllocationError: on overlap with a live region, duplicate
-                binding, or out-of-range extents.
+            AllocationError: on overlap with a live region or between
+                the region's own extents, duplicate binding, or
+                out-of-range extents.
         """
         key = (name, instance)
         if key in self._regions:
@@ -99,26 +109,52 @@ class FrameBufferSet:
                     f"set{self.set_index}: extent {extent} of {name}#{instance} "
                     f"exceeds capacity {self.capacity_words}"
                 )
-        for other_key, other_extents in self._regions.items():
-            for extent in extents:
-                for other in other_extents:
-                    if extent.overlaps(other):
-                        raise AllocationError(
-                            f"set{self.set_index}: {name}#{instance} extent "
-                            f"{extent} overlaps {other_key[0]}#{other_key[1]} "
-                            f"extent {other}"
-                        )
+        if self._index_hit(extents):
+            for other_key, other_extents in self._regions.items():
+                for extent in extents:
+                    for other in other_extents:
+                        if extent.overlaps(other):
+                            raise AllocationError(
+                                f"set{self.set_index}: {name}#{instance} "
+                                f"extent {extent} overlaps "
+                                f"{other_key[0]}#{other_key[1]} extent {other}"
+                            )
+        spans = sorted((extent.start, extent.end) for extent in extents)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            if start < end:
+                raise AllocationError(
+                    f"set{self.set_index}: {name}#{instance} has overlapping "
+                    f"extents at word {start}"
+                )
         self._regions[key] = extents
+        for span in spans:
+            insort(self._index, span)
+
+    def _index_hit(self, extents: Sequence[Extent]) -> bool:
+        """True if an extent overlaps a live one, per the sorted index.
+
+        Of the live extents starting before ``extent.end``, the last one
+        ends furthest (they are disjoint), so it alone decides.
+        """
+        index = self._index
+        for extent in extents:
+            position = bisect_left(index, (extent.end,))
+            if position and index[position - 1][1] > extent.start:
+                return True
+        return False
 
     def release(self, name: str, instance: int) -> Tuple[Extent, ...]:
         """Unregister a region, returning its extents."""
         key = (name, instance)
         try:
-            return self._regions.pop(key)
+            extents = self._regions.pop(key)
         except KeyError:
             raise AllocationError(
                 f"set{self.set_index}: region {name}#{instance} is not bound"
             ) from None
+        for extent in extents:
+            del self._index[bisect_left(self._index, (extent.start, extent.end))]
+        return extents
 
     def is_bound(self, name: str, instance: int) -> bool:
         """True if the region is currently live."""
@@ -137,6 +173,16 @@ class FrameBufferSet:
         """All live region keys, in binding order."""
         return tuple(self._regions.keys())
 
+    def live_region_extents(
+        self,
+    ) -> Tuple[Tuple[str, int, Tuple[Extent, ...]], ...]:
+        """``(name, instance, extents)`` of every live region, in
+        binding order."""
+        return tuple([
+            (name, instance, extents)
+            for (name, instance), extents in self._regions.items()
+        ])
+
     @property
     def occupied_words(self) -> int:
         """Words currently allocated."""
@@ -154,6 +200,7 @@ class FrameBufferSet:
     def clear(self) -> None:
         """Drop all regions (used between schedules)."""
         self._regions.clear()
+        self._index.clear()
         if self._words is not None:
             self._words[:] = 0
 

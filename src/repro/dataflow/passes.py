@@ -26,6 +26,8 @@ location=..., cost_words=..., **details)`` callable:
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dataflow.hazards import HappensBefore
@@ -49,31 +51,47 @@ HAZARD_RULES: Tuple[str, ...] = (
 Emit = Callable[..., object]
 
 
+_State = Tuple[Optional[int], Tuple[int, ...]]
+
+
 class _IntervalMap:
     """Last-accessor state per word over one address space.
 
     Segments are disjoint, sorted ``[start, end)`` ranges, each holding
-    the last writing node and the reading nodes since that write.
+    the last writing node and the reading nodes since that write
+    (``state``).  They live in three parallel lists; since segments are
+    disjoint, ``ends`` is sorted too.  An access bisects for the run of
+    segments it overlaps and splices only that run back, so it costs
+    ``O(log n + k)`` plus one list splice, for *n* segments of which *k*
+    overlap — not a scan and re-sort of all *n*.  Segments are never
+    merged: the boundaries, the per-word state and the returned
+    predecessors are exactly those of a per-segment scan.
     """
 
-    __slots__ = ("_segments",)
+    __slots__ = ("_starts", "_ends", "_state")
 
     def __init__(self) -> None:
-        # (start, end, writer, readers)
-        self._segments: List[Tuple[int, int, Optional[int], Tuple[int, ...]]] = []
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._state: List[_State] = []
 
     def access(
         self, start: int, end: int, node: int, write: bool
     ) -> Dict[int, int]:
         """Record an access; return predecessor nodes -> words shared."""
+        starts, ends, state = self._starts, self._ends, self._state
+        first = bisect_right(ends, start)
+        last = bisect_left(starts, end, first)
         preds: Dict[int, int] = {}
-        kept: List[Tuple[int, int, Optional[int], Tuple[int, ...]]] = []
-        for seg_start, seg_end, writer, readers in self._segments:
+        new_starts: List[int] = []
+        new_ends: List[int] = []
+        new_state: List[_State] = []
+        cursor = start
+        for i in range(first, last):
+            seg_start, seg_end = starts[i], ends[i]
+            writer, readers = state[i]
             lo = max(start, seg_start)
             hi = min(end, seg_end)
-            if lo >= hi:
-                kept.append((seg_start, seg_end, writer, readers))
-                continue
             words = hi - lo
             if writer is not None and writer != node:
                 preds[writer] = preds.get(writer, 0) + words
@@ -81,31 +99,43 @@ class _IntervalMap:
                 for reader in readers:
                     if reader != node:
                         preds[reader] = preds.get(reader, 0) + words
+                continue
+            if cursor < lo:  # reads over previously untouched words
+                new_starts.append(cursor)
+                new_ends.append(lo)
+                new_state.append((None, (node,)))
             # Non-overlapping remnants keep their old state.
             if seg_start < lo:
-                kept.append((seg_start, lo, writer, readers))
+                new_starts.append(seg_start)
+                new_ends.append(lo)
+                new_state.append(state[i])
+            new_starts.append(lo)
+            new_ends.append(hi)
+            new_state.append((writer, readers + (node,)))
             if hi < seg_end:
-                kept.append((hi, seg_end, writer, readers))
-            if not write:
-                kept.append((lo, hi, writer, readers + (node,)))
+                new_starts.append(hi)
+                new_ends.append(seg_end)
+                new_state.append(state[i])
+            cursor = hi
         if write:
-            kept.append((start, end, node, ()))
-        else:
-            # Reads over previously untouched words.
-            covered = sorted(
-                (max(start, s), min(end, e))
-                for s, e, _, _ in self._segments
-                if max(start, s) < min(end, e)
-            )
-            cursor = start
-            for lo, hi in covered:
-                if cursor < lo:
-                    kept.append((cursor, lo, None, (node,)))
-                cursor = max(cursor, hi)
-            if cursor < end:
-                kept.append((cursor, end, None, (node,)))
-        kept.sort(key=lambda seg: seg[0])
-        self._segments = kept
+            if first < last and starts[first] < start:
+                new_starts.append(starts[first])
+                new_ends.append(start)
+                new_state.append(state[first])
+            new_starts.append(start)
+            new_ends.append(end)
+            new_state.append((node, ()))
+            if first < last and ends[last - 1] > end:
+                new_starts.append(end)
+                new_ends.append(ends[last - 1])
+                new_state.append(state[last - 1])
+        elif cursor < end:
+            new_starts.append(cursor)
+            new_ends.append(end)
+            new_state.append((None, (node,)))
+        starts[first:last] = new_starts
+        ends[first:last] = new_ends
+        state[first:last] = new_state
         return preds
 
 
@@ -159,7 +189,18 @@ def check_races(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
 
 
 def check_interference(ir: ProgramIR, emit: Emit) -> None:
-    """HAZ002: simultaneously-live values never share FB words."""
+    """HAZ002: simultaneously-live values never share FB words.
+
+    A sweep line over each set's values in ``def_pos`` order: a heap on
+    ``release_pos`` expires values, and the extents of the live ones sit
+    in a sorted ``(start, end, index)`` list.  A value's candidates are
+    the live extents starting in ``[start - max_extent + 1, end)`` of
+    one of its own extents, found by bisection.  That costs
+    ``O(n log n)`` plus the candidates examined, instead of comparing
+    each value with every live one.  Candidates are reported in
+    ``def_pos`` order (the order they became live), with the overlap
+    summed over every pair of extents.
+    """
     if not ir.has_placement:
         return
     for fb_set in (0, 1):
@@ -168,13 +209,25 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
             if value.fb_set == fb_set and value.extents
         ]
         placed.sort(key=lambda value: value.def_pos)
-        active: List[ValueLifetime] = []
-        for value in placed:
-            active = [
-                other for other in active
-                if other.release_pos > value.def_pos
-            ]
-            for other in active:
+        max_extent = max(
+            (extent.size for value in placed for extent in value.extents),
+            default=0,
+        )
+        expiry: List[Tuple[int, int]] = []  # heap of (release_pos, index)
+        live: List[Tuple[int, int, int]] = []  # sorted (start, end, index)
+        for index, value in enumerate(placed):
+            while expiry and expiry[0][0] <= value.def_pos:
+                _, gone = heapq.heappop(expiry)
+                for extent in placed[gone].extents:
+                    del live[bisect_left(live, (extent.start, extent.end, gone))]
+            candidates: Set[int] = set()
+            for extent in value.extents:
+                lo = bisect_left(live, (extent.start - max_extent + 1,))
+                hi = bisect_left(live, (extent.end,), lo)
+                for _, other_end, other_index in live[lo:hi]:
+                    if other_end > extent.start:
+                        candidates.add(other_index)
+            for other in [placed[i] for i in sorted(candidates)]:
                 overlap = sum(
                     min(a.end, b.end) - max(a.start, b.start)
                     for a in value.extents
@@ -194,7 +247,9 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
                         second=f"{value.name}#{value.instance}",
                         fb_set=fb_set,
                     )
-            active.append(value)
+            heapq.heappush(expiry, (value.release_pos, index))
+            for extent in value.extents:
+                insort(live, (extent.start, extent.end, index))
 
 
 def check_dead_transfers(ir: ProgramIR, emit: Emit) -> None:

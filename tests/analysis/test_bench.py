@@ -68,11 +68,12 @@ def test_committed_baseline_shape():
     """The embedded pre-overhaul baseline covers its era's stage keys.
 
     Stages introduced after the pre-overhaul snapshot
-    (``simulate_traced``) are legitimately absent — the render and the
+    (``simulate_traced``, ``codegen_templated``, ``verify_fast``,
+    ``analyze``) are legitimately absent — the render and the
     gate both skip keys missing on one side.
     """
     assert set(PRE_PR_BASELINE["stages"]) == set(STAGES) - {
-        "simulate_traced", "codegen_templated", "verify_fast"
+        "simulate_traced", "codegen_templated", "verify_fast", "analyze"
     }
     assert set(PRE_PR_BASELINE["scalability"]) == {"cds_large", "corpus"}
 
@@ -101,3 +102,18 @@ class TestMetricsSection:
         current = _payload(stages={"cds": 0.010})
         current["metrics"] = {"counters": {"n": 1}, "timers": {}}
         assert compare_bench(current, baseline, max_regression_pct=25.0) == []
+
+
+def test_analyze_stage_analyzes_a_fresh_program_per_call(monkeypatch):
+    """The analysis memo lives on the program: a reused program would
+    time a dict lookup instead of the analyzer."""
+    import repro.analysis.bench as bench
+    from repro.workloads.spec import paper_experiments
+
+    analyzed = []
+    monkeypatch.setattr(bench, "analyze_program", analyzed.append)
+    stage = bench._experiment_stage_fns(paper_experiments()[0])["analyze"]
+    stage()
+    stage()
+    assert len(analyzed) == 2
+    assert analyzed[0] is not analyzed[1]
