@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.parallel import PlanMemo
+from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.core.application import Application
@@ -27,7 +28,7 @@ from repro.errors import InfeasibleScheduleError
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.context_scheduler import DmaPolicy
-from repro.sim.batch import simulate_program
+from repro.sim.engine import Simulator
 from repro.workloads.spec import ExperimentSpec
 
 __all__ = [
@@ -108,9 +109,9 @@ def _run_cds(
             cache.put(key, result)
         return result
     program = generate_program(schedule)
-    report = simulate_program(
-        program, architecture, dma_policy=dma_policy, verify=True,
-    )
+    report = Simulator(
+        MorphoSysM1(architecture), dma_policy=dma_policy, trace=False,
+    ).run(program)
     result = AblationResult(
         workload=application.name,
         variant=variant,

@@ -52,9 +52,9 @@ which compares two independent computations of the same fact:
     serialization policies — no DMA/compute races, no live-range
     interference, no capacity-over-time violations.
 ``simengine``
-    The vectorized timeline evaluator and the reference event-driven
-    engine produce byte-identical simulation reports (per-visit
-    timings included).
+    The simulator's trace-off bulk path and its traced per-transfer
+    path produce byte-identical simulation reports (per-visit timings
+    included); only the recorded trace may differ.
 ``functional``
     Functional simulation reproduces the application's reference
     outputs.
@@ -84,7 +84,6 @@ from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
-from repro.sim.batch import simulate_program
 from repro.sim.engine import Simulator
 from repro.units import format_words_pair
 
@@ -342,9 +341,9 @@ def _run_oracles_uncached(
         if run.schedule is not None:
             try:
                 run.program = generate_program(run.schedule)
-                run.report = simulate_program(
-                    run.program, architecture, trace=False, verify=True,
-                )
+                run.report = Simulator(
+                    MorphoSysM1(architecture), trace=False,
+                ).run(run.program)
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "verifier", case.name,
@@ -796,31 +795,32 @@ def _check_hazards(case, runs) -> List[OracleFailure]:
 
 
 def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
-    """Vectorized and reference engines must agree byte-for-byte.
+    """Traced and untraced simulation must agree byte-for-byte.
 
-    The pipeline reports above came from the vectorized fast path
-    (``trace=False``); re-simulating with ``engine="reference"`` must
-    reproduce the identical :class:`~repro.sim.report.SimulationReport`
-    — every aggregate and every per-visit timing.
+    The pipeline reports above came from the trace-off bulk path
+    (``trace=False``); re-simulating with the per-transfer trace on
+    walks every transfer item by item and must reproduce the identical
+    :class:`~repro.sim.report.SimulationReport` — every aggregate and
+    every per-visit timing — with only ``transfers`` allowed to differ.
     """
     failures = []
     for run in runs.values():
         if run.program is None or run.report is None:
             continue
-        reference = simulate_program(
-            run.program, architecture, engine="reference",
-        )
-        if reference != run.report:
+        traced = Simulator(
+            MorphoSysM1(architecture), verify=False,
+        ).run(run.program)
+        traced = dataclasses.replace(traced, transfers=run.report.transfers)
+        if traced != run.report:
             diverging = [
                 field.name
-                for field in dataclasses.fields(reference)
-                if getattr(reference, field.name)
+                for field in dataclasses.fields(traced)
+                if getattr(traced, field.name)
                 != getattr(run.report, field.name)
             ]
             failures.append(OracleFailure(
                 "simengine", case.name,
-                f"vectorized and reference engines diverge on "
-                f"{diverging}",
+                f"traced and untraced simulation diverge on {diverging}",
                 scheduler=run.scheduler,
             ))
     return failures

@@ -22,18 +22,15 @@ Functional mode additionally moves real values through the machine's
 external memory and checks every final output against the reference
 execution.
 
-Two engines resolve the timing recurrence:
-
-* the **vectorized** engine (:mod:`repro.sim.vectorized`) precomputes
-  per-visit transfer groups into NumPy arrays and resolves the
-  recurrence in one tight scalar loop — the default whenever the
-  per-transfer trace is off and functional mode is not requested;
-* the **reference** engine (this module's :meth:`Simulator._execute`)
-  walks every transfer through the DMA channel item by item — the only
-  engine that can record the trace or move functional values, and the
-  equivalence oracle for the vectorized one (the ``simengine`` fuzz
-  oracle and ``tests/sim/test_vectorized_equivalence.py`` assert the
-  two produce byte-identical :class:`VisitTiming` rows and reports).
+One engine resolves the timing recurrence.  With the per-transfer trace
+on (or in functional mode) it walks every transfer through the DMA
+channel item by item; with the trace off it issues each visit's
+context / load / store group as one contiguous block
+(:meth:`~repro.arch.dma.DmaChannel.request_block`), using per-cluster
+group totals.  Both branches produce byte-identical
+:class:`VisitTiming` rows and aggregates — only the trace differs (the
+``simengine`` fuzz oracle and ``tests/sim/test_trace_equivalence.py``
+assert it).
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import numpy as np
 from repro.arch.dma import TransferKind
 from repro.arch.machine import MorphoSysM1
 from repro.codegen.program import Program
-from repro.codegen.verifier import verify_program
+from repro.codegen.verifier import drain_survivors, verify_program
 from repro.errors import SimulationError
 from repro.schedule.context_scheduler import (
     ContextScheduler,
@@ -59,11 +56,8 @@ from repro.sim.functional import (
     reference_outputs,
 )
 from repro.sim.report import SimulationReport, VisitTiming
-from repro.sim.vectorized import evaluate_timeline, tables_for
 
 __all__ = ["Simulator"]
-
-_ENGINES = ("auto", "vectorized", "reference")
 
 
 class Simulator:
@@ -77,13 +71,6 @@ class Simulator:
         trace: record the per-transfer DMA trace (and its labels) in
             the report.  Aggregate statistics are exact either way;
             bulk analysis drivers turn tracing off for speed.
-        engine: ``"auto"`` (default) resolves the timing recurrence
-            with the vectorized evaluator whenever the trace is off and
-            functional mode is not requested, falling back to the
-            reference engine otherwise; ``"vectorized"`` forces the
-            fast path (and rejects trace/functional runs, which need
-            per-item execution); ``"reference"`` forces the item-by-
-            item engine — the equivalence oracle.
     """
 
     def __init__(
@@ -93,17 +80,11 @@ class Simulator:
         dma_policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
         verify: bool = True,
         trace: bool = True,
-        engine: str = "auto",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
         self.machine = machine
         self.context_scheduler = ContextScheduler(dma_policy)
         self.verify = verify
         self.trace = trace
-        self.engine = engine
         #: After a functional run: total words brought in by data loads,
         #: and the subset never read by any kernel before eviction or
         #: program end.  ``None`` until a functional run completes.
@@ -158,7 +139,6 @@ class Simulator:
         else:
             self._populate_accounting(application)
 
-        use_vectorized = self._wants_vectorized(functional)
         # The tracing mode is set only for the duration of this run and
         # restored afterwards: the DMA channel is shared machine state,
         # and a constructor side effect would let two simulators over
@@ -170,10 +150,7 @@ class Simulator:
             self._dead_words = 0
             self._loaded_words = 0
         try:
-            if use_vectorized:
-                timings = self._execute_vectorized(program)
-            else:
-                timings = self._execute(program, functional, impls)
+            timings = self._execute(program, functional, impls)
         finally:
             self.machine.dma.record_trace = dma_record_trace
 
@@ -210,42 +187,7 @@ class Simulator:
             functional_verified=verified,
         )
 
-    # -- engine selection -------------------------------------------------
-
-    def _wants_vectorized(self, functional: bool) -> bool:
-        """Whether this run resolves timing via the vectorized path."""
-        if self.engine == "reference":
-            return False
-        incompatible = self.trace or functional
-        if self.engine == "vectorized":
-            if incompatible:
-                raise SimulationError(
-                    "engine='vectorized' resolves timing in bulk: it "
-                    "records no per-transfer trace and moves no "
-                    "functional values; use trace=False and "
-                    "functional=False (or engine='auto'/'reference')"
-                )
-            return True
-        return not incompatible
-
-    def _execute_vectorized(self, program: Program) -> List[VisitTiming]:
-        """Bulk timing resolution (see :mod:`repro.sim.vectorized`)."""
-        if not program.visits:
-            return []
-        dma = self.machine.dma
-        tables = tables_for(program, dma.timing)
-        timings, busy_until = evaluate_timeline(
-            program, tables, self.context_scheduler.policy, dma.busy_until
-        )
-        last = TransferKind.DATA_STORE
-        for kind, (words, count, cycles) in tables.totals.items():
-            dma.account(
-                kind, words=words, count=count, cycles=cycles,
-                busy_until=busy_until if kind is last else None,
-            )
-        return timings
-
-    # -- reference engine -------------------------------------------------
+    # -- timing engine ---------------------------------------------------
 
     def _execute(
         self,
@@ -570,15 +512,12 @@ class Simulator:
         """Drop non-kept contents after a visit's stores complete."""
         schedule = program.schedule
         visit = program.visits[index].visit
-        survivors: Set[str] = set()
-        for keep in schedule.keeps:
-            if keep.fb_set != visit.fb_set:
-                continue
-            first, last = keep.span
-            if first <= visit.cluster_index < last:
-                survivors.add(keep.name)
-        if visit.cluster_index == len(schedule.clustering) - 1:
-            survivors = set()
+        # Round end on the last cluster: the set drains completely.
+        survivors: Set[str] = (
+            set()
+            if visit.cluster_index == len(schedule.clustering) - 1
+            else drain_survivors(schedule, visit.cluster_index, visit.fb_set)
+        )
         retained = {
             key: value
             for key, value in fb_values[visit.fb_set].items()

@@ -1,7 +1,12 @@
 """The oracle stack: clean on healthy cases, sharp on planted bugs."""
 
+import dataclasses
+
 import pytest
 
+from repro.arch.dma import DmaChannel
+from repro.arch.machine import MorphoSysM1
+from repro.codegen.generator import generate_program
 from repro.errors import InfeasibleScheduleError
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.generator import generate_case
@@ -13,10 +18,13 @@ from repro.fuzz.oracles import (
     _check_diagnostics,
     _check_feasibility,
     _check_probes,
+    _check_simengine,
     _check_traffic,
     _Run,
     run_oracles,
 )
+from repro.schedule.complete import CompleteDataScheduler
+from repro.sim.engine import Simulator
 from repro.workloads.spec import paper_experiments
 
 
@@ -276,6 +284,53 @@ def test_progequiv_oracle_flags_divergent_stamping(monkeypatch):
     failures = run_oracles(case, oracles=("progequiv",))
     assert failures, "a lying template backend must fire"
     assert any("differs from reference" in f.message for f in failures)
+
+
+def _e1_case():
+    spec = next(s for s in paper_experiments() if s.id == "E1")
+    application, clustering = spec.build()
+    return FuzzCase.from_workload(
+        application, clustering, spec.fb_words, name="paper-E1"
+    )
+
+
+def test_simengine_oracle_flags_perturbed_untraced_report():
+    """Plant: one visit of the untraced report finishes a cycle late."""
+    case = _e1_case()
+    application, clustering = case.build()
+    architecture = case.architecture()
+    program = generate_program(
+        CompleteDataScheduler(architecture).schedule(application, clustering)
+    )
+    report = Simulator(MorphoSysM1(architecture), trace=False).run(program)
+    assert _check_simengine(case, {"cds": _Run(
+        scheduler="cds", program=program, report=report,
+    )}, architecture) == []
+
+    last = report.visits[-1]
+    perturbed = dataclasses.replace(report, visits=report.visits[:-1] + (
+        dataclasses.replace(last, compute_end=last.compute_end + 1),
+    ))
+    failures = _check_simengine(case, {"cds": _Run(
+        scheduler="cds", program=program, report=perturbed,
+    )}, architecture)
+    assert [f.oracle for f in failures] == ["simengine"]
+    assert "['visits']" in failures[0].message
+
+
+def test_simengine_oracle_flags_divergent_bulk_path(monkeypatch):
+    """Plant: the trace-off block accounting charges one extra cycle."""
+    original = DmaChannel.request_block
+
+    def lying_block(self, kind, words, duration, count, earliest_start):
+        return original(self, kind, words, duration + 1, count,
+                        earliest_start)
+
+    monkeypatch.setattr(DmaChannel, "request_block", lying_block)
+    failures = run_oracles(_e1_case(), oracles=("simengine",))
+    assert failures, "a lying bulk path must fire"
+    assert all(f.oracle == "simengine" for f in failures)
+    assert any("dma_busy_cycles" in f.message for f in failures)
 
 
 def test_oracle_names_are_stable():
