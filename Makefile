@@ -69,7 +69,8 @@ fuzz-quick:
 # Templated-codegen equivalence gate: the golden property suite (500+
 # program fuzz matrix, paper experiments, broken-schedule fallback,
 # sequence-protocol edge cases), then a wide progequiv-oracle campaign
-# — every generated schedule lowered by both codegen backends and
+# — every generated schedule lowered by the template-compiled
+# generator and by the eager per-visit emitter kept as its oracle, and
 # cross-checked byte-for-byte, violation lists included.  Failures
 # shrink into fuzz-codegen-failures/ (a CI artifact).
 codegen-check:

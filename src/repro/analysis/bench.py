@@ -25,11 +25,10 @@ The ``simulate`` stage times the analysis drivers' configuration — the
 simulator's trace-off bulk path with re-verification off;
 ``simulate_traced`` times the default interactive configuration (full
 per-transfer trace + program verification) on the same engine.
-The ``codegen``/``verify`` stages are pinned to the reference codegen
-backend for cross-baseline continuity; ``codegen_templated`` and
-``verify_fast`` time the template-compiled generator (with full visit
-materialization forced) and the vectorized fast-verification path the
-drivers now default to.  ``analyze`` times the hazard analyzer
+The ``codegen`` stage times the template-compiled generator with full
+visit materialization forced; ``verify`` times verification of that
+program, which the vectorized fast path decides without stamping a
+single op.  ``analyze`` times the hazard analyzer
 (:func:`~repro.dataflow.analyzer.analyze_program`, default DMA policy)
 on each CDS program, the per-row cost ``corpus_study`` pays.
 ``repro bench --profile-stages`` skips the
@@ -98,8 +97,8 @@ PRE_PR_BASELINE: Dict[str, object] = {
 }
 
 STAGES = (
-    "dataflow", "cds", "alloc", "codegen", "codegen_templated", "verify",
-    "verify_fast", "lint", "simulate", "simulate_traced", "analyze",
+    "dataflow", "cds", "alloc", "codegen", "verify", "lint", "simulate",
+    "simulate_traced", "analyze",
 )
 
 
@@ -148,13 +147,9 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
 def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
     """Zero-arg stage callables for one bundled experiment.
 
-    ``codegen``/``verify`` stay pinned to the reference backend so
-    their timings remain comparable across baselines;
-    ``codegen_templated``/``verify_fast`` time the template-compiled
-    generator (forcing full visit materialization, so the sample is
-    apples-to-apples with the reference build) and the vectorized
-    fast-verification path on a templated program.  The simulate
-    stages run the reference program for the same continuity reason.
+    ``codegen`` forces full visit materialization, so the sample
+    includes stamping every op, not only the per-cluster templates.
+    ``verify`` and the simulate stages run one pre-generated program.
     ``analyze`` runs the hazard analyzer under the default DMA policy on
     a freshly generated program per call: the analysis memo lives on
     the program, so reusing one would time a dict lookup.  Generating
@@ -168,13 +163,12 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
         application, clustering
     )
     allocator = FrameBufferAllocator(schedule, debug_invariants=False)
-    reference = generate_program(schedule, engine="reference")
-    templated = generate_program(schedule, engine="templated")
+    program = generate_program(schedule)
 
-    def _templated_codegen() -> None:
-        program = generate_program(schedule, engine="templated")
-        if len(program.visits):
-            program.visits[0]  # force template stamping of every visit
+    def _codegen() -> None:
+        fresh = generate_program(schedule)
+        if len(fresh.visits):
+            fresh.visits[0]  # force template stamping of every visit
 
     return {
         "dataflow": lambda: analyze_dataflow(application, clustering),
@@ -182,21 +176,19 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
             application, clustering
         ),
         "alloc": allocator.allocate,
-        "codegen": lambda: generate_program(schedule, engine="reference"),
-        "codegen_templated": _templated_codegen,
-        "verify": lambda: verify_program(reference),
-        "verify_fast": lambda: verify_program(templated),
+        "codegen": _codegen,
+        "verify": lambda: verify_program(program),
         "lint": lambda: lint_schedule(schedule),
         # The batch-driver configuration: trace-off bulk path, no
         # re-verification (verify/lint are timed as their own stages).
         "simulate": lambda: Simulator(
             MorphoSysM1(architecture), trace=False, verify=False
-        ).run(reference),
+        ).run(program),
         # The interactive default: full per-transfer trace, plus
         # program verification.
         "simulate_traced": lambda: Simulator(
             MorphoSysM1(architecture)
-        ).run(reference),
+        ).run(program),
         "analyze": lambda: analyze_program(generate_program(schedule)),
     }
 

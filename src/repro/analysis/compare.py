@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
@@ -197,20 +197,28 @@ def run_scheduler(
         if cache is not None:
             cache.put(key, outcome)
         return outcome
+    outcome = _lower_and_simulate(
+        scheduler.name, schedule, architecture, trace
+    )
+    if cache is not None:
+        cache.put(key, outcome.for_transport())
+    return outcome
+
+
+def _lower_and_simulate(
+    name: str, schedule: Schedule, architecture: Architecture, trace: bool
+) -> SchedulerOutcome:
+    """The pipeline tail after a feasible schedule: codegen, then
+    simulation, timed under metrics scope ``pipeline.<name>``."""
+    scope = f"pipeline.{name}"
     with time_stage("codegen", scope=scope):
         program = generate_program(schedule)
     machine = MorphoSysM1(architecture)
     with time_stage("simulate", scope=scope):
         report = Simulator(machine, trace=trace).run(program)
-    outcome = SchedulerOutcome(
-        scheduler=scheduler.name,
-        feasible=True,
-        schedule=schedule,
-        report=report,
+    return SchedulerOutcome(
+        scheduler=name, feasible=True, schedule=schedule, report=report,
     )
-    if cache is not None:
-        cache.put(key, outcome.for_transport())
-    return outcome
 
 
 def run_pipeline_batch(
@@ -279,17 +287,8 @@ def run_pipeline_batch(
                 error=result.error,
             )
         else:
-            scope = f"pipeline.{name}"
-            with time_stage("codegen", scope=scope):
-                program = generate_program(result.schedule)
-            machine = MorphoSysM1(architecture)
-            with time_stage("simulate", scope=scope):
-                report = Simulator(machine, trace=trace).run(program)
-            outcome = SchedulerOutcome(
-                scheduler=name,
-                feasible=True,
-                schedule=result.schedule,
-                report=report,
+            outcome = _lower_and_simulate(
+                name, result.schedule, architecture, trace
             )
         if cache is not None:
             cache.put(keys[index], outcome.for_transport())

@@ -14,6 +14,7 @@ not just a byte-identical schedule.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import TYPE_CHECKING
 
@@ -101,18 +102,11 @@ def options_fingerprint(options: ScheduleOptions) -> tuple:
     Unlike the in-process plan memo — which may omit fields that cannot
     change the plan — the persistent cache digests *all* fields: a hit
     must reproduce the full outcome (including attached decision traces
-    and lint behaviour), and a new field added without updating this
-    fingerprint would poison caches silently.
+    and lint behaviour).  Reading the field list off the dataclass means
+    a new option can never be left out of the key.
     """
-    return (
-        options.rf_cap,
-        options.keep_policy,
-        options.rf_policy,
-        options.cross_set_retention,
-        options.strict_lint,
-        options.strict_hazards,
-        options.occupancy_engine,
-        options.decision_trace,
+    return tuple(
+        getattr(options, field.name) for field in dataclasses.fields(options)
     )
 
 

@@ -9,7 +9,7 @@ verifier checks.
 """
 
 from repro.codegen.fastverify import fast_violation_free
-from repro.codegen.generator import generate_program
+from repro.codegen.generator import TemplateVisits, generate_program
 from repro.codegen.ops import (
     LoadContext,
     LoadData,
@@ -19,7 +19,6 @@ from repro.codegen.ops import (
     VisitOps,
 )
 from repro.codegen.program import Program
-from repro.codegen.templated import TemplateVisits, generate_templated_program
 from repro.codegen.verifier import (
     ProgramViolation,
     collect_program_violations,
@@ -40,7 +39,6 @@ __all__ = [
     "collect_program_violations",
     "fast_violation_free",
     "generate_program",
-    "generate_templated_program",
     "iter_program_violations",
     "verify_program",
 ]

@@ -2,7 +2,9 @@
 
 The reference verifier (:mod:`repro.codegen.verifier`) replays every
 emitted op against dict/set state — O(total ops) per program.  For a
-template-compiled program the same replay collapses: visits of one
+template-compiled program (every program
+:func:`~repro.codegen.generator.generate_program` returns) the same
+replay collapses: visits of one
 cluster differ only in their iteration window, and rounds repeat a
 fixed cluster sequence, so the whole-program verdict is decided by
 
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.codegen.program import Program
-from repro.codegen.templated import ClusterTemplate, TemplateVisits
+from repro.codegen.generator import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import drain_survivors
 
 __all__ = ["fast_violation_free"]
@@ -48,7 +50,8 @@ __all__ = ["fast_violation_free"]
 def fast_violation_free(program: Program) -> bool:
     """True when *program* is template-compiled and provably free of
     violations; False means "use the reference replay" (the program is
-    either not templated, or has at least one violation)."""
+    either a plain visit tuple, as after unpickling, or has at least
+    one violation)."""
     visits = program.visits
     if not isinstance(visits, TemplateVisits):
         return False

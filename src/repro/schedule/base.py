@@ -18,11 +18,7 @@ from repro.arch.params import Architecture
 from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.core.dataflow import DataflowInfo, analyze_dataflow
-from repro.core.metrics import (
-    KeepDecision,
-    cluster_data_size_naive,
-    cluster_footprint,
-)
+from repro.core.metrics import KeepDecision, cluster_footprint
 from repro.core.reuse import SharedData, SharedResult
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.occupancy import OccupancyEngine
@@ -57,13 +53,6 @@ class ScheduleOptions:
             work.  Requires an architecture with
             ``fb_cross_set_access=True``; the Complete Data Scheduler
             rejects the combination otherwise.
-        occupancy_engine: ``"incremental"`` (default) uses the memoised
-            :class:`~repro.schedule.occupancy.OccupancyEngine` for RF
-            search, keep acceptance, and capacity validation;
-            ``"naive"`` recomputes every ``DS(C_c)`` from scratch with
-            the reference event sweep.  Both produce byte-identical
-            schedules (property-tested); the naive path exists as the
-            equivalence oracle and for debugging.
         strict_lint: after building the schedule, run the
             application- and schedule-layer lint passes over it and
             raise :class:`~repro.errors.LintError` if any
@@ -93,7 +82,6 @@ class ScheduleOptions:
     cross_set_retention: bool = False
     strict_lint: bool = False
     strict_hazards: bool = False
-    occupancy_engine: str = "incremental"
     decision_trace: bool = False
 
     def __post_init__(self) -> None:
@@ -103,10 +91,6 @@ class ScheduleOptions:
             raise ValueError(f"unknown keep_policy {self.keep_policy!r}")
         if self.rf_policy not in ("max_then_keep", "joint"):
             raise ValueError(f"unknown rf_policy {self.rf_policy!r}")
-        if self.occupancy_engine not in ("incremental", "naive"):
-            raise ValueError(
-                f"unknown occupancy_engine {self.occupancy_engine!r}"
-            )
 
 
 class DataSchedulerBase(abc.ABC):
@@ -119,8 +103,9 @@ class DataSchedulerBase(abc.ABC):
                  options: Optional[ScheduleOptions] = None):
         self.architecture = architecture
         self.options = options or ScheduleOptions()
-        #: Per-call incremental occupancy engine (None in naive mode or
-        #: outside :meth:`schedule`).
+        #: Per-call incremental occupancy engine (None outside
+        #: :meth:`schedule`).  It serves every ``DS(C_c)`` query: RF
+        #: search, keep acceptance and capacity validation.
         self._engine: Optional[OccupancyEngine] = None
         #: Per-call decision recorder (None unless
         #: ``options.decision_trace`` and inside :meth:`schedule`).
@@ -170,13 +155,10 @@ class DataSchedulerBase(abc.ABC):
             self._decisions = DecisionTrace()
         else:
             self._decisions = None
-        if self.options.occupancy_engine == "incremental":
-            self._engine = OccupancyEngine(
-                dataflow, self.architecture.fb_set_words
-            )
-            self._engine.recorder = self._decisions
-        else:
-            self._engine = None
+        self._engine = OccupancyEngine(
+            dataflow, self.architecture.fb_set_words
+        )
+        self._engine.recorder = self._decisions
         try:
             schedule = self._schedule(dataflow)
             if self._decisions is not None:
@@ -197,17 +179,6 @@ class DataSchedulerBase(abc.ABC):
         """Record one decision when tracing is on (one check when off)."""
         if self._decisions is not None:
             self._decisions.record(kind, subject, **detail)
-
-    def _rf_probe_hook(self):
-        """Probe callback for the naive RF search, or None when off."""
-        if self._decisions is None:
-            return None
-        recorder = self._decisions
-
-        def probe(rf: int, ok: bool) -> None:
-            recorder.record("rf.probe", rf=rf, fits=ok)
-
-        return probe
 
     def _self_lint(self, schedule: Schedule) -> None:
         """Run the schedule-layer lint passes; raise on any error."""
@@ -301,21 +272,17 @@ class DataSchedulerBase(abc.ABC):
         """Raise the ``RF = 1 does not fit`` diagnostic with the worst
         cluster named and exact word counts.
 
-        Shared by the Data and Complete Data Schedulers for the
+        Shared by the Data, Complete Data and exact schedulers for the
         ``max_common_rf == 0`` case.  The occupancy numbers come from
-        whichever engine the scheduler is running (incremental or the
-        naive reference sweep), so the message always matches the
-        verdict that produced it.
+        the occupancy engine that produced the verdict, so the message
+        always matches it.
         """
         fbs = self.architecture.fb_set_words
         engine = self._engine
-
-        def occupancy_of(index: int) -> int:
-            if engine is not None:
-                return engine.occupancy(index, 1, ())
-            return cluster_data_size_naive(dataflow, index, 1, ())
-        worst = max(dataflow.clustering, key=lambda c: occupancy_of(c.index))
-        peak = occupancy_of(worst.index)
+        worst = max(
+            dataflow.clustering, key=lambda c: engine.occupancy(c.index, 1, ())
+        )
+        peak = engine.occupancy(worst.index, 1, ())
         need, capacity = format_words_pair(peak, fbs)
         raise InfeasibleScheduleError(
             f"{self.name}: cluster {worst.name} needs {need} even at RF=1 "
@@ -341,16 +308,11 @@ class DataSchedulerBase(abc.ABC):
                 dataflow, rf, keeps,
                 lambda index: cluster_footprint(dataflow, index),
             )
-        elif self._engine is not None:
+        else:
             engine = self._engine
             occupancy = self._require_cluster_fit(
                 dataflow, rf, keeps,
                 lambda index: engine.occupancy(index, rf, keeps),
-            )
-        else:
-            occupancy = self._require_cluster_fit(
-                dataflow, rf, keeps,
-                lambda index: cluster_data_size_naive(dataflow, index, rf, keeps),
             )
         return Schedule(
             scheduler=self.name,

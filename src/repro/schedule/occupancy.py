@@ -26,8 +26,10 @@ two structural facts instead:
 
 The engine is exact, not approximate: every accept/reject decision and
 every reported occupancy equals the naive recomputation bit for bit
-(property-tested against :func:`cluster_data_size_naive`-backed
-selection in ``tests/schedule/test_occupancy_equivalence.py``).
+(checked against :func:`cluster_data_size_naive`-backed selection by
+the ``engine`` fuzz oracle and
+``tests/schedule/test_occupancy_equivalence.py``).  It is the only
+occupancy path the schedulers have.
 
 One engine instance serves one ``DataflowInfo`` at one capacity;
 ``rf_policy="joint"`` re-enters keep selection once per candidate RF.

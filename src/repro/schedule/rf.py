@@ -17,7 +17,7 @@ adds instances), so a galloping + binary search is used.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.core.dataflow import DataflowInfo
 from repro.core.metrics import KeepDecision, cluster_data_size
@@ -37,9 +37,9 @@ def fits(
     """True if every cluster's ``DS(C_c, rf, keeps)`` fits one FB set.
 
     ``occupancy_fn`` defaults to the closed-form
-    :func:`~repro.core.metrics.cluster_data_size`; the naive-mode
-    schedulers pass :func:`~repro.core.metrics.cluster_data_size_naive`
-    to keep a fully independent reference path.
+    :func:`~repro.core.metrics.cluster_data_size`; the ``engine`` fuzz
+    oracle passes :func:`~repro.core.metrics.cluster_data_size_naive`
+    to re-derive a scheduler's RF on a fully independent path.
     """
     return all(
         occupancy_fn(dataflow, cluster.index, rf, keeps) <= fb_set_words
@@ -53,7 +53,6 @@ def max_common_rf(
     keeps: Sequence[KeepDecision] = (),
     max_rf: int = 0,
     occupancy_fn: OccupancyFn = cluster_data_size,
-    probe: Optional[Callable[[int, bool], None]] = None,
 ) -> int:
     """Highest common reuse factor fitting every cluster in ``fb_set_words``.
 
@@ -65,9 +64,6 @@ def max_common_rf(
         max_rf: optional cap; defaults to the application's
             ``total_iterations`` (fissioning deeper than the iteration
             count is pointless).
-        probe: optional observer called as ``probe(rf, fits)`` after
-            every feasibility check (the decision trace's ``rf.probe``
-            events); never changes the search.
 
     Returns:
         The largest feasible ``RF >= 1``, or ``0`` if even ``RF = 1``
@@ -75,10 +71,7 @@ def max_common_rf(
     """
 
     def check(rf: int) -> bool:
-        ok = fits(dataflow, rf, fb_set_words, keeps, occupancy_fn)
-        if probe is not None:
-            probe(rf, ok)
-        return ok
+        return fits(dataflow, rf, fb_set_words, keeps, occupancy_fn)
 
     cap = max_rf if max_rf > 0 else dataflow.application.total_iterations
     if cap < 1 or not check(1):
@@ -93,7 +86,7 @@ def max_common_rf(
         return cap
     # The loop exited on a failed check of min(high * 2, cap), so that
     # value is already known infeasible — re-probing it would waste an
-    # occupancy sweep and emit a duplicate rf.probe trace event.
+    # occupancy sweep.
     high = min(high * 2, cap)
     # Invariant: fits(low), not fits(high).
     while high - low > 1:

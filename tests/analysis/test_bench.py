@@ -68,12 +68,11 @@ def test_committed_baseline_shape():
     """The embedded pre-overhaul baseline covers its era's stage keys.
 
     Stages introduced after the pre-overhaul snapshot
-    (``simulate_traced``, ``codegen_templated``, ``verify_fast``,
-    ``analyze``) are legitimately absent — the render and the
-    gate both skip keys missing on one side.
+    (``simulate_traced``, ``analyze``) are legitimately absent — the
+    render and the gate both skip keys missing on one side.
     """
     assert set(PRE_PR_BASELINE["stages"]) == set(STAGES) - {
-        "simulate_traced", "codegen_templated", "verify_fast", "analyze"
+        "simulate_traced", "analyze"
     }
     assert set(PRE_PR_BASELINE["scalability"]) == {"cds_large", "corpus"}
 

@@ -158,6 +158,41 @@ class TestKeys:
         assert len(fingerprint) == len(
             dataclasses.fields(ScheduleOptions)
         )
+        # Declaration order, so existing fields keep their positions.
+        assert fingerprint == (
+            0, "tf", "max_then_keep", False, False, False, False,
+        )
+
+    def test_outcome_key_changes_with_every_single_option(self):
+        """Flipping any one ScheduleOptions field flips the outcome key."""
+        import dataclasses
+
+        from repro.arch.params import Architecture
+
+        changed = {
+            "rf_cap": 2,
+            "keep_policy": "size",
+            "rf_policy": "joint",
+            "cross_set_retention": True,
+            "strict_lint": True,
+            "strict_hazards": True,
+            "decision_trace": True,
+        }
+        names = [field.name for field in dataclasses.fields(ScheduleOptions)]
+        assert sorted(changed) == sorted(names)
+        spec = next(iter(paper_experiments()))
+        application, clustering = spec.build()
+        architecture = Architecture.m1(spec.fb)
+
+        def key(options):
+            return outcome_key(
+                "cds", application, clustering, architecture,
+                options=options,
+            )
+
+        base = key(ScheduleOptions())
+        for name, value in changed.items():
+            assert key(ScheduleOptions(**{name: value})) != base, name
 
     def test_case_key_ignores_name_and_provenance(self):
         case = generate_case("baseline", 7)

@@ -1,8 +1,9 @@
-"""Template-compiled codegen vs. the reference generator: byte-identical.
+"""Template-compiled codegen vs. the eager emitter: byte-identical.
 
-The template backend (:mod:`repro.codegen.templated`) promises that
-``generate_program(..., engine='templated')`` produces **exactly** the program the reference
-generator emits — same visits, same ops in the same order, under both
+:func:`repro.codegen.generator.generate_program` compiles each cluster
+once and stamps visits lazily.  It promises **exactly** the program the
+eager per-visit emitter (:mod:`repro.fuzz._eager_codegen`, the oracle)
+builds — same visits, same ops in the same order, under both
 context-reuse modes — and the vectorized fast verifier returns exactly
 the violation list (and first-violation error) the reference replay
 does, clean programs and broken ones alike.  These tests enforce the
@@ -17,8 +18,7 @@ import pytest
 
 from repro.arch.params import Architecture
 from repro.codegen.fastverify import fast_violation_free
-from repro.codegen.generator import generate_program
-from repro.codegen.templated import TemplateVisits
+from repro.codegen.generator import TemplateVisits, generate_program
 from repro.codegen.verifier import (
     collect_program_violations,
     iter_program_violations,
@@ -27,6 +27,7 @@ from repro.codegen.verifier import (
 from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.errors import InfeasibleScheduleError, ProgramVerificationError
+from repro.fuzz._eager_codegen import generate_program_eager
 from repro.fuzz.generator import generate_case, regime_names
 from repro.schedule import BasicScheduler, CompleteDataScheduler, DataScheduler
 from repro.workloads.spec import paper_experiments
@@ -48,13 +49,11 @@ def _schedules_of(application, clustering, architecture):
 
 
 def _assert_equivalent(schedule, *, reuse=False, label=""):
-    """Reference and templated programs agree in every observable way."""
-    reference = generate_program(
-        schedule, reuse_resident_contexts=reuse, engine="reference"
+    """Eager and templated programs agree in every observable way."""
+    reference = generate_program_eager(
+        schedule, reuse_resident_contexts=reuse
     )
-    templated = generate_program(
-        schedule, reuse_resident_contexts=reuse, engine="templated"
-    )
+    templated = generate_program(schedule, reuse_resident_contexts=reuse)
     assert isinstance(templated.visits, TemplateVisits), label
     assert isinstance(reference.visits, tuple), label
     # Equality in both directions: Program's dataclass __eq__ compares
@@ -192,8 +191,8 @@ def test_template_visits_sequence_protocol():
     schedule = CompleteDataScheduler(Architecture.m1(big.fb)).schedule(
         application, clustering
     )
-    templated = generate_program(schedule, engine="templated")
-    reference = generate_program(schedule, engine="reference")
+    templated = generate_program(schedule)
+    reference = generate_program_eager(schedule)
     visits = templated.visits
     assert len(visits) == len(reference.visits)
     # Slices are plain tuples so callers can splice mutated visits.
@@ -212,8 +211,8 @@ def test_template_visits_sequence_protocol():
 
 def test_template_visits_pickle_round_trip():
     schedule = _single_visit_schedule()
-    templated = generate_program(schedule, engine="templated")
-    reference = generate_program(schedule, engine="reference")
+    templated = generate_program(schedule)
+    reference = generate_program_eager(schedule)
     restored = pickle.loads(pickle.dumps(templated))
     # Transported programs are indistinguishable from reference ones.
     assert isinstance(restored.visits, tuple)
@@ -229,7 +228,7 @@ def test_fast_verify_does_not_materialize():
     schedule = CompleteDataScheduler(Architecture.m1(big.fb)).schedule(
         application, clustering
     )
-    templated = generate_program(schedule, engine="templated")
+    templated = generate_program(schedule)
     assert len(templated.visits) > 0          # count needs no stamping
     assert fast_violation_free(templated)
     verify_program(templated)
@@ -237,8 +236,9 @@ def test_fast_verify_does_not_materialize():
 
 
 def test_generate_program_engine_validation():
+    """There is one code generator: it always returns a template-compiled
+    program, and no backend can be selected."""
     schedule = _single_visit_schedule()
-    with pytest.raises(ValueError):
-        generate_program(schedule, engine="nonsense")
-    auto = generate_program(schedule, engine="auto")
-    assert isinstance(auto.visits, TemplateVisits)
+    with pytest.raises(TypeError):
+        generate_program(schedule, engine="reference")
+    assert isinstance(generate_program(schedule).visits, TemplateVisits)

@@ -266,7 +266,7 @@ def test_exactgap_oracle_flags_traffic_model_divergence(monkeypatch):
 
 def test_progequiv_oracle_flags_divergent_stamping(monkeypatch):
     """Plant: the template backend drops every visit's stores."""
-    from repro.codegen.templated import ClusterTemplate
+    from repro.codegen.generator import ClusterTemplate
 
     original = ClusterTemplate.__init__
 

@@ -15,6 +15,7 @@ from repro.alloc.allocator import FrameBufferAllocator
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
+from repro.fuzz.oracles import naive_keep_selection
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
@@ -115,18 +116,56 @@ class TestCompletenessOnPaperExperiments:
             assert results[-1].detail["policy"] == "joint"
 
     def test_both_occupancy_engines_record_keep_decisions(self):
-        spec = next(s for s in paper_experiments() if s.id == "ATR-FI")
-        traces = {}
-        for engine in ("incremental", "naive"):
-            _, schedule = _traced_cds(spec, occupancy_engine=engine)
-            assert schedule.decisions.accepted_keeps(), engine
-            traces[engine] = {
+        """The engine's keep.accept/keep.reject records are the verdicts
+        of greedy acceptance recomputed with the naive sweep."""
+        for spec in paper_experiments():
+            architecture, schedule = _traced_cds(spec)
+            ranked = CompleteDataScheduler(architecture)._ranked_candidates(
+                schedule.dataflow
+            )
+            accepted = naive_keep_selection(
+                schedule.dataflow, architecture.fb_set_words, schedule.rf,
+                ranked,
+            )
+            expected = {
+                ("keep.accept" if keep in accepted else "keep.reject",
+                 keep.name)
+                for keep in ranked
+            }
+            recorded = {
                 (d.kind, d.subject)
                 for d in schedule.decisions.of_kind(
                     "keep.accept", "keep.reject"
                 )
             }
-        assert traces["incremental"] == traces["naive"]
+            assert recorded == expected, spec.id
+
+    def test_engine_oracle_flags_off_by_one_keep_selection(
+        self, monkeypatch
+    ):
+        """Plant: keep trials are swept at RF + 1 instead of RF."""
+        from repro.fuzz.case import FuzzCase
+        from repro.fuzz.oracles import run_oracles
+        from repro.schedule.occupancy import OccupancyEngine
+
+        spec = next(s for s in paper_experiments() if s.id == "E1*")
+        application, clustering = spec.build()
+        case = FuzzCase.from_workload(
+            application, clustering, spec.fb_words, name="paper-E1*"
+        )
+        assert run_oracles(case, oracles=("engine",)) == []
+        original = OccupancyEngine.begin_keep_selection
+
+        def off_by_one(self, rf):
+            original(self, rf)
+            self._rf = rf + 1
+
+        monkeypatch.setattr(
+            OccupancyEngine, "begin_keep_selection", off_by_one
+        )
+        failures = run_oracles(case, oracles=("engine",))
+        assert [f.scheduler for f in failures] == ["cds"]
+        assert "'keeps'" in failures[0].message
 
 
 class TestAllocatorExtendsTrace:

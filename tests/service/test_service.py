@@ -325,6 +325,21 @@ def test_bad_requests_are_400(server, body, fragment):
     assert fragment in payload["error"]["message"]
 
 
+def test_occupancy_engine_is_not_an_option(server):
+    """The incremental occupancy engine is the only one; naming an
+    engine is rejected like any other unknown option."""
+    status, raw = request(
+        server, "/v1/schedule", "POST",
+        encode_json({"experiment": "E1",
+                     "options": {"occupancy_engine": "naive"}}),
+    )
+    payload = json.loads(raw)
+    assert status == 400
+    assert payload["error"]["message"] == (
+        "unknown option(s): occupancy_engine"
+    )
+
+
 def test_batch_bad_requests(server):
     status, raw = request(
         server, "/v1/batch", "POST", encode_json({"cases": []})
