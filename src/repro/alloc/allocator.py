@@ -34,7 +34,7 @@ policy promotes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.frame_buffer import Extent, FrameBufferSet
 from repro.alloc.free_list import FreeBlockList
@@ -43,7 +43,8 @@ from repro.core.reuse import SharedData, SharedResult
 from repro.errors import AllocationError, FragmentationError
 from repro.schedule.plan import Schedule
 
-__all__ = ["AllocationRecord", "Snapshot", "AllocationMap", "FrameBufferAllocator"]
+__all__ = ["AllocationRecord", "Snapshot", "AllocationMap",
+           "FrameBufferAllocator", "input_placement_order"]
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,6 @@ class AllocationRecord:
     def split(self) -> bool:
         """True if the object was split across free blocks."""
         return len(self.extents) > 1
-
-    def live_at(self, step: int) -> bool:
-        """True if the instance occupies memory at logical *step*."""
-        return self.alloc_step <= step < self.free_step
 
 
 @dataclass(frozen=True)
@@ -245,6 +242,43 @@ class FrameBufferAllocator:
         return (self.allocate_set(0), self.allocate_set(1))
 
 
+def input_placement_order(schedule: Schedule, cluster) -> Tuple[str, ...]:
+    """The order Figure 4 places *cluster*'s plan loads in (and the code
+    generator loads them in).
+
+    Kept shared data whose first consumer is this cluster come first,
+    the most distant last consumer first.  The other inputs follow from
+    the last kernel's back to the first kernel's: an input belongs to
+    its last consuming kernel in the cluster (the paper's ``d_j``).  An
+    input with no consumer in the cluster comes last.
+    """
+    plan = schedule.plan_for(cluster.index)
+    kept = {
+        keep.name: keep for keep in schedule.keeps
+        if keep.fb_set == cluster.fb_set and isinstance(keep, SharedData)
+    }
+    first = sorted(
+        (
+            name for name in plan.loads
+            if name in kept and kept[name].clusters[0] == cluster.index
+        ),
+        key=lambda name: (-kept[name].span[1], name),
+    )
+    rest = [name for name in plan.loads if name not in first]
+    last_use = {
+        name: schedule.dataflow.last_use_in_cluster(name, cluster.index)
+        for name in rest
+    }
+    by_kernel = list(dict.fromkeys(
+        name
+        for kernel_name in reversed(cluster.kernel_names)
+        for name in rest
+        if last_use[name] == kernel_name
+    ))
+    unused = [name for name in rest if last_use[name] is None]
+    return tuple(first + by_kernel + unused)
+
+
 class _SetAllocation:
     """One execution of the Figure-4 algorithm (internal)."""
 
@@ -298,51 +332,22 @@ class _SetAllocation:
     # -- phases ------------------------------------------------------------
 
     def _place_cluster_inputs(self, cluster) -> None:
-        """Figure 4, input placement: shared data first (most distant
-        consumer first), then kernel data from the last kernel down."""
-        plan = self.schedule.plan_for(cluster.index)
-        loads = list(plan.loads)
-
-        # 1. Kept shared data whose first consumer is this cluster,
-        #    ordered by last consuming cluster, descending.
-        kept_now = [
-            self.kept_data[name]
-            for name in loads
-            if name in self.kept_data
-            and self.kept_data[name].clusters[0] == cluster.index
+        """Figure 4, input placement, in :func:`input_placement_order`."""
+        order = input_placement_order(self.schedule, cluster)
+        missing = [
+            name for name in order
+            if self.dataflow.last_use_in_cluster(name, cluster.index) is None
         ]
-        kept_now.sort(key=lambda keep: (-keep.span[1], keep.name))
-        self.step += 1
-        for keep in kept_now:
-            instances = 1 if keep.invariant else self.rf
-            for instance in range(instances):
-                self._allocate(
-                    keep.name, instance, cluster.index, keep.size, "high"
-                )
-
-        # 2. Non-kept inputs, scanned from the last kernel to the first;
-        #    an input belongs to its last consuming kernel (paper d_j).
-        kept_names = {keep.name for keep in kept_now}
-        remaining = [name for name in loads if name not in kept_names]
-        placed: Set[str] = set()
-        for kernel_name in reversed(cluster.kernel_names):
-            for obj_name in remaining:
-                if obj_name in placed:
-                    continue
-                last = self.dataflow.last_use_in_cluster(obj_name, cluster.index)
-                if last == kernel_name:
-                    placed.add(obj_name)
-                    info = self.dataflow[obj_name]
-                    instances = 1 if info.invariant else self.rf
-                    for instance in range(instances):
-                        self._allocate(
-                            obj_name, instance, cluster.index, info.size, "high"
-                        )
-        missing = set(remaining) - placed
         if missing:  # pragma: no cover — inputs always have a local use
             raise AllocationError(
                 f"inputs {sorted(missing)} of {cluster.name} have no local use"
             )
+        self.step += 1
+        for name in order:
+            info = self.dataflow[name]
+            instances = 1 if info.invariant else self.rf
+            for instance in range(instances):
+                self._allocate(name, instance, cluster.index, info.size, "high")
 
     def _run_cluster(self, cluster) -> None:
         """Execution: kernels in order, each run ``RF`` times; results

@@ -40,9 +40,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.codegen.program import Program
 from repro.codegen.generator import ClusterTemplate, TemplateVisits
-from repro.codegen.verifier import drain_survivors
+from repro.codegen.program import Program
+from repro.codegen.residency import ResidencyRules
 
 __all__ = ["fast_violation_free"]
 
@@ -65,45 +65,32 @@ def fast_violation_free(program: Program) -> bool:
     if count == 0 or n_clusters == 0:
         return False
 
-    if not _context_state_clean(schedule, templates, flags, count):
+    rules = ResidencyRules(schedule)
+    if not _context_state_clean(rules, templates, flags, count):
         return False
     if not _final_store_totals_clean(application, templates):
         return False
-
-    dataflow = schedule.dataflow
-    kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]] = {
-        kernel.name: tuple(
-            (in_name, dataflow[in_name].invariant)
-            for in_name in kernel.inputs
-        )
-        for kernel in application.kernels
-    }
-    kernel_outputs = {
-        kernel.name: kernel.outputs for kernel in application.kernels
-    }
-    external_names = set(application.external_inputs())
-    keeps_by_name = {keep.name: keep for keep in schedule.keeps}
-    survivors_memo: Dict[Tuple[int, int], Set[str]] = {}
 
     # Rounds 0, one steady-state round, and the last round decide the
     # FB verdict for every round (module docstring).
     rounds = schedule.rounds
     sampled = sorted({0, min(1, rounds - 1), rounds - 1})
+    external_names = set(application.external_inputs())
     stored: Dict[str, np.ndarray] = {}
+    present: List[Dict[str, np.ndarray]] = [{}, {}]
     for round_index in sampled:
         start = round_index * schedule.rf
         stop = start + schedule.iterations_in_round(round_index)
         if not _replay_round(
-            templates, start, stop, total, stored,
-            kernel_inputs, kernel_outputs, external_names,
-            keeps_by_name, survivors_memo, application, schedule,
+            templates, start, stop, total, stored, present, rules,
+            external_names, application,
         ):
             return False
     return True
 
 
 def _context_state_clean(
-    schedule,
+    rules: ResidencyRules,
     templates: Tuple[ClusterTemplate, ...],
     flags: Optional[Tuple[bool, ...]],
     count: int,
@@ -112,19 +99,15 @@ def _context_state_clean(
     refill must fit the block, and a visit that skips its context loads
     must find its own cluster still resident."""
     n_clusters = len(templates)
-    capacity = schedule.context_block_words
-    if not capacity:
-        # Mirror the reference's derived bound: the largest context
-        # volume any visit actually loads.
-        if flags is None:
-            loaded = [template.context_total for template in templates]
-        else:
-            loaded = [
-                templates[index % n_clusters].context_total
-                for index in range(count)
-                if flags[index]
-            ]
-        capacity = max(loaded, default=0) or 1
+    if flags is None:
+        volumes = (template.context_total for template in templates)
+    else:
+        volumes = (
+            templates[index % n_clusters].context_total
+            for index in range(count)
+            if flags[index]
+        )
+    capacity = rules.block_capacity(volumes)
     block_holds: List[Optional[int]] = [None, None]
     for index in range(count):
         template = templates[index % n_clusters]
@@ -155,22 +138,14 @@ def _final_store_totals_clean(
 
 
 def _replay_round(
-    templates: Tuple[ClusterTemplate, ...],
-    start: int,
-    stop: int,
-    total: int,
-    stored: Dict[str, np.ndarray],
-    kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]],
-    kernel_outputs: Dict[str, Tuple[str, ...]],
-    external_names: Set[str],
-    keeps_by_name: Dict[str, object],
-    survivors_memo: Dict[Tuple[int, int], Set[str]],
-    application,
-    schedule,
+    templates: Tuple[ClusterTemplate, ...], start: int, stop: int,
+    total: int, stored: Dict[str, np.ndarray],
+    present: List[Dict[str, np.ndarray]], rules: ResidencyRules,
+    external_names: Set[str], application,
 ) -> bool:
     """Replay one round's visits at template granularity.  Returns
     False on the first condition the reference would flag."""
-    present: List[Dict[str, np.ndarray]] = [{}, {}]
+    window = rules.operand_window
     for template in templates:
         fb_set = template.fb_set
         in_set = present[fb_set]
@@ -179,7 +154,7 @@ def _replay_round(
         for name, _words, fixed in template.loads:
             # ``fixed`` is the template's invariant marker: truthy
             # ``(0,)`` pins the object to instance 0.
-            lo, hi = (0, 1) if fixed else (start, stop)
+            lo, hi = window(bool(fixed), start, stop)
             arr = in_set.get(name)
             if arr is not None and arr[lo:hi].any():
                 return False
@@ -197,15 +172,15 @@ def _replay_round(
         # interleaving exactly (a kernel can never satisfy its own
         # window mid-flight).
         for kernel, _cycles in template.compute:
-            for in_name, invariant in kernel_inputs[kernel]:
-                lo, hi = (0, 1) if invariant else (start, stop)
+            for in_name, invariant in rules.operands[kernel]:
+                lo, hi = window(invariant, start, stop)
                 arr = in_set.get(in_name)
                 if arr is not None and arr[lo:hi].all():
                     continue
-                keep = keeps_by_name.get(in_name)
-                if keep is None or keep.fb_set == fb_set:
+                home = rules.cross_set_home(in_name, fb_set)
+                if home is None:
                     return False
-                other = present[keep.fb_set].get(in_name)
+                other = present[home].get(in_name)
                 if other is None:
                     return False
                 if arr is None:
@@ -213,7 +188,7 @@ def _replay_round(
                         return False
                 elif not (arr[lo:hi] | other[lo:hi]).all():
                     return False
-            for out_name in kernel_outputs[kernel]:
+            for out_name in rules.outputs[kernel]:
                 arr = in_set.get(out_name)
                 if arr is None:
                     arr = in_set[out_name] = np.zeros(total, dtype=bool)
@@ -232,13 +207,7 @@ def _replay_round(
                 timeline = stored[name] = np.zeros(total, dtype=bool)
             timeline[start:stop] = True
 
-        # Visit end: only kept survivors stay resident.
-        memo_key = (template.cluster_index, fb_set)
-        survivors = survivors_memo.get(memo_key)
-        if survivors is None:
-            survivors = drain_survivors(schedule, template.cluster_index, fb_set)
-            survivors_memo[memo_key] = survivors
-        present[fb_set] = {
-            name: arr for name, arr in in_set.items() if name in survivors
-        }
+        # Visit end: kept survivors stay; the round's last visit empties
+        # both sets.
+        rules.drain(present, template.cluster_index, fb_set)
     return True

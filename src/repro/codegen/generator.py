@@ -37,6 +37,7 @@ import weakref
 from collections.abc import Sequence
 from typing import Dict, List, Optional, Tuple
 
+from repro.alloc.allocator import input_placement_order
 from repro.codegen.ops import LoadContext, LoadData, RunKernel, StoreData, Visit, VisitOps
 from repro.codegen.program import Program
 from repro.errors import CodegenError
@@ -333,7 +334,7 @@ def cluster_codegen_facts(
             and clustering_ref() is schedule.clustering
         ):
             return facts
-    order = _load_order(schedule, cluster)
+    order = input_placement_order(schedule, cluster)
     context_loads = tuple(
         tuple(
             LoadContext(
@@ -354,32 +355,3 @@ def cluster_codegen_facts(
         facts,
     )
     return facts
-
-
-def _load_order(schedule: Schedule, cluster) -> Tuple[str, ...]:
-    """Plan loads ordered the way the allocator places them: kept shared
-    data (most distant last consumer first), then other inputs from the
-    last kernel's down to the first kernel's."""
-    plan = schedule.plan_for(cluster.index)
-    dataflow = schedule.dataflow
-    kept_by_name = {
-        keep.name: keep
-        for keep in schedule.keeps
-        if keep.fb_set == cluster.fb_set
-    }
-    kept_first = [
-        name for name in plan.loads
-        if name in kept_by_name
-        and getattr(kept_by_name[name], "clusters", (None,))[0] == cluster.index
-    ]
-    kept_first.sort(key=lambda name: (-kept_by_name[name].span[1], name))
-    rest = [name for name in plan.loads if name not in kept_first]
-    ordered_rest: List[str] = []
-    for kernel_name in reversed(cluster.kernel_names):
-        for name in rest:
-            if name in ordered_rest:
-                continue
-            if dataflow.last_use_in_cluster(name, cluster.index) == kernel_name:
-                ordered_rest.append(name)
-    leftovers = [name for name in rest if name not in ordered_rest]
-    return tuple(kept_first + ordered_rest + leftovers)

@@ -1,8 +1,9 @@
 """Static verification of generated programs.
 
-The verifier replays a program symbolically, tracking frame-buffer-set
-contents and context-memory residency across visits, and rejects any
-program that:
+The verifier replays a program symbolically on the shared residency
+walk (:class:`~repro.codegen.residency.ResidencyReplay`), which tracks
+frame-buffer-set contents and context-memory residency across visits,
+and rejects any program that:
 
 * launches a kernel whose contexts are not in the visit's CM block, or
   overflows a CM block;
@@ -31,16 +32,18 @@ actually computes values).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
+from repro.codegen.fastverify import fast_violation_free
+from repro.codegen.ops import VisitOps
 from repro.codegen.program import Program
+from repro.codegen.residency import ResidencyReplay
 from repro.errors import ProgramVerificationError
 
 __all__ = [
     "ProgramViolation",
     "verify_program",
     "collect_program_violations",
-    "drain_survivors",
     "iter_program_violations",
 ]
 
@@ -74,8 +77,6 @@ def verify_program(program: Program) -> None:
     falls back to the reference replay, so raised payloads are always
     the reference's.
     """
-    from repro.codegen.fastverify import fast_violation_free
-
     if fast_violation_free(program):
         return
     for violation in iter_program_violations(program):
@@ -91,254 +92,160 @@ def collect_program_violations(program: Program) -> List[ProgramViolation]:
     short-circuit through the vectorized clean-check; the violation
     list itself always comes from the reference replay.
     """
-    from repro.codegen.fastverify import fast_violation_free
-
     if fast_violation_free(program):
         return []
     return list(iter_program_violations(program))
 
 
 def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
-    """Lazily yield violations in replay order."""
-    schedule = program.schedule
-    application = schedule.application
-    clustering = schedule.clustering
-    total_iterations = application.total_iterations
-
-    # Instances present per FB set, bucketed by object name so the
-    # visit-end survivor filter is O(names), not O(instances).
-    present: List[Dict[str, Set[int]]] = [{}, {}]
-    stored: Dict[Tuple[str, int], int] = {}
-    runs: Dict[Tuple[str, int], int] = {}
-    cm_block_words = [0, 0]
-    cm_block_kernels: List[Set[str]] = [set(), set()]
-    block_capacity = schedule.context_block_words or _block_capacity(program)
-    external_names = set(application.external_inputs())
-    keeps_by_name = {keep.name: keep for keep in schedule.keeps}
-    # Replay-invariant lookups, precomputed: each kernel's inputs with
-    # their invariant flag (invariant operands always read instance 0),
-    # and the kept survivors per (cluster, FB set).
-    kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]] = {
-        kernel.name: tuple(
-            (in_name, schedule.dataflow[in_name].invariant)
-            for in_name in kernel.inputs
-        )
-        for kernel in application.kernels
-    }
-    kernel_by_name = {kernel.name: kernel for kernel in application.kernels}
-    survivors_memo: Dict[Tuple[int, int], Set[str]] = {}
-
+    """Lazily yield violations in replay order (visit by visit)."""
+    replay = _ViolationReplay(program)
+    found = replay.violations
     for ops in program.visits:
+        replay.step(ops)
+        if found:
+            yield from found
+            found.clear()
+    yield from replay.totals()
+
+
+class _ViolationReplay(ResidencyReplay[bool]):
+    """The residency replay, reporting what breaks the rules."""
+
+    def __init__(self, program: Program) -> None:
+        schedule = program.schedule
+        super().__init__(schedule)
+        self.application = schedule.application
+        self.violations: List[ProgramViolation] = []
+        self.stored: Dict[Tuple[str, int], int] = {}
+        self.runs: Dict[Tuple[str, int], int] = {}
+        self.block_capacity = self.rules.block_capacity(
+            ops.context_words for ops in program.visits
+        )
+        self.external_names = set(self.application.external_inputs())
+
+    def _report(self, code: str, ops: VisitOps, message: str,
+                cost_words: int = 0, **details: object) -> None:
+        self.violations.append(ProgramViolation(
+            code, f"visit {ops.visit.index}: {message}",
+            f"visit {ops.visit.index}", cost_words=cost_words,
+            details=details,
+        ))
+
+    def begin_visit(self, ops: VisitOps) -> None:
         visit = ops.visit
-        location = f"visit {visit.index}"
-        cluster = clustering[visit.cluster_index]
+        cluster = self.rules.schedule.clustering[visit.cluster_index]
         if cluster.fb_set != visit.fb_set:
-            yield ProgramViolation(
-                "PROG006",
-                f"visit {visit.index}: cluster {cluster.name} is on set "
-                f"{cluster.fb_set}, visit claims set {visit.fb_set}",
-                location,
-                details={"cluster": cluster.name},
+            self._report(
+                "PROG006", ops,
+                f"cluster {cluster.name} is on set {cluster.fb_set}, "
+                f"visit claims set {visit.fb_set}",
+                cluster=cluster.name,
             )
 
-        # Context loads: the visit's block is evicted and refilled.
-        # A visit without context loads relies on block residency from
-        # an earlier visit (generator's reuse_resident_contexts).
-        block = visit.cm_block
-        if ops.context_loads:
-            cm_block_words[block] = 0
-            cm_block_kernels[block] = set()
-        for load in ops.context_loads:
-            cm_block_words[block] += load.words
-            if cm_block_words[block] > block_capacity:
-                yield ProgramViolation(
-                    "PROG002",
-                    f"visit {visit.index}: CM block {block} overflows "
-                    f"({cm_block_words[block]} > {block_capacity} words)",
-                    location,
-                    cost_words=cm_block_words[block] - block_capacity,
-                    details={"cm_block": block},
-                )
-            cm_block_kernels[block].add(load.kernel)
+    def on_context_load(self, ops: VisitOps, load, extent) -> None:
+        words = extent.end
+        if words > self.block_capacity:
+            block = ops.visit.cm_block
+            self._report(
+                "PROG002", ops,
+                f"CM block {block} overflows "
+                f"({words} > {self.block_capacity} words)",
+                cost_words=words - self.block_capacity, cm_block=block,
+            )
 
-        # Data loads.  The generator emits a run of instances per
-        # object, so the bucket and external flag of the previous load
-        # usually carry over.
-        in_set = present[visit.fb_set]
-        prev_name = None
-        bucket = None
-        external = False
-        for load in ops.data_loads:
-            if load.name != prev_name:
-                prev_name = load.name
-                bucket = in_set.get(load.name)
-                if bucket is None:
-                    bucket = in_set[load.name] = set()
-                external = load.name in external_names
-            if load.iteration in bucket:
-                yield ProgramViolation(
-                    "PROG005",
-                    f"visit {visit.index}: redundant load of "
-                    f"{load.name}#{load.iteration} (already in set"
-                    f"{visit.fb_set})",
-                    location,
-                    cost_words=load.words,
-                    details={"object": load.name,
-                             "iteration": load.iteration},
-                )
-            if not external and (load.name, load.iteration) not in stored:
-                yield ProgramViolation(
-                    "PROG005",
-                    f"visit {visit.index}: load of result "
-                    f"{load.name}#{load.iteration} which was never stored "
-                    f"to external memory",
-                    location,
-                    cost_words=load.words,
-                    details={"object": load.name,
-                             "iteration": load.iteration},
-                )
-            bucket.add(load.iteration)
+    def on_load(self, ops: VisitOps, load, previous) -> bool:
+        if previous is not None:
+            self._report(
+                "PROG005", ops,
+                f"redundant load of {load.name}#{load.iteration} "
+                f"(already in set{ops.visit.fb_set})",
+                cost_words=load.words,
+                object=load.name, iteration=load.iteration,
+            )
+        if (load.name not in self.external_names
+                and (load.name, load.iteration) not in self.stored):
+            self._report(
+                "PROG005", ops,
+                f"load of result {load.name}#{load.iteration} which was "
+                f"never stored to external memory",
+                cost_words=load.words,
+                object=load.name, iteration=load.iteration,
+            )
+        return True
 
-        # Compute.
-        for run in ops.compute:
-            kernel = kernel_by_name[run.kernel]
-            if run.kernel not in cm_block_kernels[block]:
-                yield ProgramViolation(
-                    "PROG002",
-                    f"visit {visit.index}: kernel {run.kernel!r} launched "
-                    f"without contexts in CM block {block}",
-                    location,
-                    details={"kernel": run.kernel, "cm_block": block},
-                )
-            for in_name, invariant in kernel_inputs[run.kernel]:
-                instance = 0 if invariant else run.iteration
-                bucket = in_set.get(in_name)
-                if bucket is not None and instance in bucket:
-                    continue
-                # Cross-set retention: a kept operand may live in the
-                # other set (requires fb_cross_set_access).
-                keep = keeps_by_name.get(in_name)
-                if keep is not None and keep.fb_set != visit.fb_set:
-                    other = present[keep.fb_set].get(in_name)
-                    if other is not None and instance in other:
-                        continue
-                yield ProgramViolation(
-                    "PROG001",
-                    f"visit {visit.index}: kernel {run.kernel!r} "
-                    f"iteration {run.iteration} reads "
-                    f"{in_name}#{instance} which is not in set"
-                    f"{visit.fb_set}",
-                    location,
-                    cost_words=schedule.dataflow[in_name].size
-                    if in_name in schedule.dataflow else 0,
-                    details={"kernel": run.kernel, "object": in_name,
-                             "iteration": run.iteration},
-                )
-            for out_name in kernel.outputs:
-                bucket = in_set.get(out_name)
-                if bucket is None:
-                    bucket = in_set[out_name] = set()
-                bucket.add(run.iteration)
-            run_key = (run.kernel, run.iteration)
-            runs[run_key] = runs.get(run_key, 0) + 1
+    def begin_run(self, ops: VisitOps, run, region) -> None:
+        if region is None:
+            block = ops.visit.cm_block
+            self._report(
+                "PROG002", ops,
+                f"kernel {run.kernel!r} launched without contexts in CM "
+                f"block {block}",
+                kernel=run.kernel, cm_block=block,
+            )
+        key = (run.kernel, run.iteration)
+        self.runs[key] = self.runs.get(key, 0) + 1
 
-        # Stores.
-        for store in ops.stores:
-            key = (store.name, store.iteration)
-            bucket = in_set.get(store.name)
-            if bucket is None or store.iteration not in bucket:
-                yield ProgramViolation(
-                    "PROG003",
-                    f"visit {visit.index}: store of "
-                    f"{store.name}#{store.iteration} which is not in set"
-                    f"{visit.fb_set}",
-                    location,
-                    cost_words=store.words,
-                    details={"object": store.name,
-                             "iteration": store.iteration},
-                )
-            if application.producer_of(store.name) is None:
-                yield ProgramViolation(
-                    "PROG003",
-                    f"visit {visit.index}: store of external data "
-                    f"{store.name!r}",
-                    location,
-                    cost_words=store.words,
-                    details={"object": store.name},
-                )
-            stored[key] = stored.get(key, 0) + 1
+    def on_missing_operand(self, ops: VisitOps, run, name: str,
+                           instance: int) -> None:
+        dataflow = self.rules.schedule.dataflow
+        self._report(
+            "PROG001", ops,
+            f"kernel {run.kernel!r} iteration {run.iteration} reads "
+            f"{name}#{instance} which is not in set{ops.visit.fb_set}",
+            cost_words=dataflow[name].size if name in dataflow else 0,
+            kernel=run.kernel, object=name, iteration=run.iteration,
+        )
 
-        # Visit end: release everything except surviving kept items.
-        memo_key = (visit.cluster_index, visit.fb_set)
-        survivors = survivors_memo.get(memo_key)
-        if survivors is None:
-            survivors = drain_survivors(schedule, visit.cluster_index, visit.fb_set)
-            survivors_memo[memo_key] = survivors
-        present[visit.fb_set] = {
-            name: bucket
-            for name, bucket in in_set.items()
-            if name in survivors
-        }
-        # Round end on the last cluster: both sets drain completely.
-        if visit.cluster_index == len(clustering) - 1:
-            present = [{}, {}]
+    def on_output(self, ops: VisitOps, run, name: str, previous) -> bool:
+        return True
 
-    yield from _check_totals(application, total_iterations, runs, stored)
+    def on_store(self, ops: VisitOps, store, value) -> None:
+        if value is None:
+            self._report(
+                "PROG003", ops,
+                f"store of {store.name}#{store.iteration} which is not in "
+                f"set{ops.visit.fb_set}",
+                cost_words=store.words,
+                object=store.name, iteration=store.iteration,
+            )
+        if self.application.producer_of(store.name) is None:
+            self._report(
+                "PROG003", ops, f"store of external data {store.name!r}",
+                cost_words=store.words, object=store.name,
+            )
+        key = (store.name, store.iteration)
+        self.stored[key] = self.stored.get(key, 0) + 1
 
-
-def _block_capacity(program: Program) -> int:
-    """CM block capacity recorded with the schedule's architecture."""
-    # The schedule does not carry the Architecture object; the block
-    # capacity is re-derived from the largest per-visit context volume
-    # permitted at scheduling time.  Verification uses the scheduler's
-    # invariant: context words per visit were checked against the block
-    # size, so the strictest consistent bound is the maximum seen.
-    return max(
-        (ops.context_words for ops in program.visits),
-        default=0,
-    ) or 1
-
-
-def drain_survivors(schedule, cluster_index: int, fb_set: int) -> Set[str]:
-    """Kept object names that remain resident in *fb_set* after the
-    cluster's visit ends (the drain-survivor rule shared by the
-    verifiers and the hazard IR)."""
-    survivors: Set[str] = set()
-    for keep in schedule.keeps:
-        if keep.fb_set != fb_set:
-            continue
-        first, last = keep.span
-        if first <= cluster_index < last:
-            survivors.add(keep.name)
-    return survivors
-
-
-def _check_totals(
-    application, total_iterations, runs, stored
-) -> Iterator[ProgramViolation]:
-    for kernel in application.kernels:
-        for iteration in range(total_iterations):
-            count = runs.get((kernel.name, iteration), 0)
-            if count != 1:
-                yield ProgramViolation(
-                    "PROG004",
-                    f"kernel {kernel.name!r} iteration {iteration} executed "
-                    f"{count} times (expected once)",
-                    "program",
-                    details={"kernel": kernel.name, "iteration": iteration,
-                             "count": count},
-                )
-    for name in application.final_outputs:
-        size = application.objects[name].size if name in application.objects else 0
-        for iteration in range(total_iterations):
-            count = stored.get((name, iteration), 0)
-            if count != 1:
-                yield ProgramViolation(
-                    "PROG004",
-                    f"final output {name!r} iteration {iteration} stored "
-                    f"{count} times (expected once)",
-                    "program",
-                    cost_words=size * abs(count - 1),
-                    details={"object": name, "iteration": iteration,
-                             "count": count},
-                )
+    def totals(self) -> Iterator[ProgramViolation]:
+        """PROG004: every kernel iteration ran, and every final output
+        instance was stored, exactly once."""
+        application = self.application
+        iterations = range(application.total_iterations)
+        for kernel in application.kernels:
+            for iteration in iterations:
+                count = self.runs.get((kernel.name, iteration), 0)
+                if count != 1:
+                    yield ProgramViolation(
+                        "PROG004",
+                        f"kernel {kernel.name!r} iteration {iteration} "
+                        f"executed {count} times (expected once)",
+                        "program",
+                        details={"kernel": kernel.name,
+                                 "iteration": iteration, "count": count},
+                    )
+        objects = application.objects
+        for name in application.final_outputs:
+            size = objects[name].size if name in objects else 0
+            for iteration in iterations:
+                count = self.stored.get((name, iteration), 0)
+                if count != 1:
+                    yield ProgramViolation(
+                        "PROG004",
+                        f"final output {name!r} iteration {iteration} "
+                        f"stored {count} times (expected once)",
+                        "program",
+                        cost_words=size * abs(count - 1),
+                        details={"object": name, "iteration": iteration,
+                                 "count": count},
+                    )

@@ -19,12 +19,12 @@ can never contradict the program order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.frame_buffer import Extent
 from repro.codegen.ops import VisitOps
 from repro.codegen.program import Program
-from repro.codegen.verifier import drain_survivors
+from repro.codegen.residency import ResidencyReplay
 
 __all__ = [
     "CONTEXT_LOAD",
@@ -149,14 +149,6 @@ class VisitNodes:
     stores: Tuple[int, ...]
 
     @property
-    def first(self) -> int:
-        for group in (self.context_loads, self.data_loads, self.compute,
-                      self.stores):
-            if group:
-                return group[0]
-        raise ValueError("empty visit")
-
-    @property
     def last(self) -> int:
         for group in (self.stores, self.compute, self.data_loads,
                       self.context_loads):
@@ -176,9 +168,6 @@ class ProgramIR:
     has_placement: bool
     fb_capacity: int
     cm_block_capacity: int
-
-    def node(self, node_id: int) -> IRNode:
-        return self.nodes[node_id]
 
     def describe(self, node_id: int) -> str:
         node = self.nodes[node_id]
@@ -220,251 +209,179 @@ def lower_program(
             When omitted, FB accesses carry no extents and the word
             level passes degrade to what sizes alone can prove.
 
-    The replay mirrors :func:`repro.codegen.verifier.iter_program_violations`
-    exactly — survivor filtering per visit, full drain of both sets at
-    round end, cross-set reads of kept operands — so it tolerates the
-    same broken programs the verifier reports on (a missing operand
-    becomes a value-less read, not a crash).
+    The lowering is a :class:`~repro.codegen.residency.ResidencyReplay`,
+    the same walk the verifier reports from, so it tolerates the same
+    broken programs the verifier reports on (a missing operand becomes
+    a value-less read, not a crash).
     """
+    lowering = _Lowering(program.schedule, _placement_index(allocations))
+    for ops in program.visits:
+        lowering.step(ops)
+    # A well-formed program drains everything; close leftovers anyway so
+    # broken programs still produce a complete IR.
+    nodes = lowering.nodes
+    last_node = max(len(nodes) - 1, 0)
+    last_visit = program.visits[-1].visit.index if program.visits else -1
+    for in_set in lowering.resident:
+        for bucket in in_set.values():
+            for value in bucket.values():
+                _close(value, last_visit, last_node)
+
     schedule = program.schedule
-    application = schedule.application
-    dataflow = schedule.dataflow
-    clustering = schedule.clustering
-    keeps_by_name = {keep.name: keep for keep in schedule.keeps}
-    placement = _placement_index(allocations)
+    return ProgramIR(
+        program=program,
+        nodes=nodes,
+        visit_nodes=lowering.visit_nodes,
+        values=lowering.values,
+        has_placement=lowering.placement is not None,
+        fb_capacity=schedule.fb_set_words,
+        cm_block_capacity=lowering.rules.block_capacity(
+            ops.context_words for ops in program.visits
+        ),
+    )
 
-    nodes: List[IRNode] = []
-    visit_nodes: List[VisitNodes] = []
-    values: List[ValueLifetime] = []
-    # Survivor sets are per (cluster, FB set), not per visit: memoize
-    # them like the verifier does instead of re-scanning the keep list
-    # once per visit.
-    survivors_memo: Dict[Tuple[int, int], Set[str]] = {}
-    # Live values per set, keyed (name, instance).
-    live: List[Dict[Tuple[str, int], ValueLifetime]] = [{}, {}]
-    # Kernel -> CM extent per block, rebuilt at each refill.
-    cm_regions: List[Dict[str, Extent]] = [{}, {}]
 
-    kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]] = {
-        kernel.name: tuple(
-            (in_name, dataflow[in_name].invariant)
-            for in_name in kernel.inputs
-        )
-        for kernel in application.kernels
-    }
-    kernel_by_name = {kernel.name: kernel for kernel in application.kernels}
+def _close(value: ValueLifetime, end_visit: int, end_node: int) -> None:
+    """Record that *value* leaves its set at *end_node* of *end_visit*."""
+    value.end_visit = end_visit
+    last_use = value.last_use_node
+    if value.kept or value.store_nodes or last_use is None:
+        # Stored and kept values hold their words until the draining
+        # visit's finish phase completes (stores issued / keep span
+        # ended); the others free theirs right after their last use.
+        last_use = end_node
+    value.release_pos = 2 * last_use + 1
 
-    def extents_for(fb_set: int, name: str, instance: int,
-                    round_start: int, cluster_index: int) -> Tuple[Extent, ...]:
-        if placement is None:
+
+class _Lowering(ResidencyReplay[ValueLifetime]):
+    """The residency replay, recording one node per op and one
+    :class:`ValueLifetime` per resident instance."""
+
+    def __init__(self, schedule, placement) -> None:
+        super().__init__(schedule)
+        self.dataflow = schedule.dataflow
+        self.placement = placement
+        self.nodes: List[IRNode] = []
+        self.visit_nodes: List[VisitNodes] = []
+        self.values: List[ValueLifetime] = []
+        # Node ids of the current visit, per phase.
+        self.groups: Tuple[List[int], ...] = ([], [], [], [])
+        self.accesses: List[Access] = []
+
+    def _extents(self, ops: VisitOps, name: str,
+                 instance: int) -> Tuple[Extent, ...]:
+        if self.placement is None:
             return ()
-        info = dataflow[name] if name in dataflow else None
-        if info is not None and info.invariant:
-            in_round = 0
-        else:
-            in_round = instance - round_start
-        by_cluster = placement[fb_set].get((name, in_round))
+        visit = ops.visit
+        invariant = name in self.dataflow and self.dataflow[name].invariant
+        in_round = 0 if invariant else instance - visit.iterations[0]
+        by_cluster = self.placement[visit.fb_set].get((name, in_round))
         if not by_cluster:
             return ()
-        extents = by_cluster.get(cluster_index)
+        extents = by_cluster.get(visit.cluster_index)
         if extents is not None:
             return extents
         if len(by_cluster) == 1:
             return next(iter(by_cluster.values()))
         return ()
 
-    def new_node(kind: str, visit_index: int, op: object,
-                 accesses: Sequence[Access]) -> int:
-        node_id = len(nodes)
-        nodes.append(IRNode(node_id, kind, visit_index, op, tuple(accesses)))
+    def _node(self, kind: str, ops: VisitOps, op: object,
+              accesses: Sequence[Access]) -> int:
+        node_id = len(self.nodes)
+        self.nodes.append(IRNode(node_id, kind, ops.visit.index, op, tuple(accesses)))
         return node_id
 
-    def close_value(value: ValueLifetime, end_visit: int,
-                    end_node: int) -> None:
-        value.end_visit = end_visit
-        if value.kept or value.store_nodes:
-            # Freed when the draining visit's finish phase completes
-            # (stores issued / keep span ended): end of that visit.
-            value.release_pos = 2 * end_node + 1
-        else:
-            last_use = value.last_use_node
-            if last_use is None:
-                value.release_pos = 2 * end_node + 1
-            else:
-                value.release_pos = 2 * last_use + 1
+    def _value(self, ops: VisitOps, name: str, instance: int, words: int,
+               kind: str, previous: Optional[ValueLifetime]) -> ValueLifetime:
+        fb_set = ops.visit.fb_set
+        node_id = len(self.nodes)
+        value = ValueLifetime(
+            value_id=len(self.values),
+            name=name,
+            instance=instance,
+            fb_set=fb_set,
+            words=words,
+            def_node=node_id,
+            def_visit=ops.visit.index,
+            def_kind=kind,
+            extents=self._extents(ops, name, instance),
+            kept=self.rules.homes.get(name) == fb_set,
+        )
+        if previous is not None:
+            # A redundant load or rerun clobbers the old value.
+            _close(previous, ops.visit.index, node_id)
+        self.values.append(value)
+        return value
 
-    for pos, ops in enumerate(program.visits):
-        visit = ops.visit
-        fb_set = visit.fb_set
-        block = visit.cm_block
-        round_start = visit.iterations[0]
-        in_set = live[fb_set]
-
-        ctx_ids: List[int] = []
-        if ops.context_loads:
-            cm_regions[block] = {}
-            offset = 0
-            for load in ops.context_loads:
-                extent = Extent(offset, load.words)
-                offset += load.words
-                cm_regions[block][load.kernel] = extent
-                ctx_ids.append(new_node(
-                    CONTEXT_LOAD, visit.index, load,
-                    [Access("cm", block, (extent,), True)],
-                ))
-
-        load_ids: List[int] = []
-        for load in ops.data_loads:
-            key = (load.name, load.iteration)
-            previous = in_set.get(key)
-            extents = extents_for(fb_set, load.name, load.iteration,
-                                  round_start, visit.cluster_index)
-            value = ValueLifetime(
-                value_id=len(values),
-                name=load.name,
-                instance=load.iteration,
-                fb_set=fb_set,
-                words=load.words,
-                def_node=len(nodes),
-                def_visit=visit.index,
-                def_kind=DATA_LOAD,
-                extents=extents,
-                kept=load.name in keeps_by_name
-                and keeps_by_name[load.name].fb_set == fb_set,
-            )
-            node_id = new_node(
-                DATA_LOAD, visit.index, load,
-                [Access("fb", fb_set, extents, True, value.value_id)]
-                if extents else [],
-            )
-            if previous is not None:
-                # Redundant load (PROG005): the old value is clobbered.
-                close_value(previous, visit.index, node_id)
-            values.append(value)
-            in_set[key] = value
-            load_ids.append(node_id)
-
-        compute_ids: List[int] = []
-        for run in ops.compute:
-            kernel = kernel_by_name[run.kernel]
-            accesses: List[Access] = []
-            region = cm_regions[block].get(run.kernel)
-            if region is not None:
-                accesses.append(Access("cm", block, (region,), False))
-            node_id = len(nodes)
-            for in_name, invariant in kernel_inputs[run.kernel]:
-                instance = 0 if invariant else run.iteration
-                value = in_set.get((in_name, instance))
-                if value is None:
-                    keep = keeps_by_name.get(in_name)
-                    if keep is not None and keep.fb_set != fb_set:
-                        value = live[keep.fb_set].get((in_name, instance))
-                if value is None:
-                    continue  # use-before-load: PROG001's territory
-                value.uses.append(node_id)
-                if value.extents:
-                    accesses.append(Access(
-                        "fb", value.fb_set, value.extents, False,
-                        value.value_id,
-                    ))
-            for out_name in kernel.outputs:
-                extents = extents_for(fb_set, out_name, run.iteration,
-                                      round_start, visit.cluster_index)
-                value = ValueLifetime(
-                    value_id=len(values),
-                    name=out_name,
-                    instance=run.iteration,
-                    fb_set=fb_set,
-                    words=dataflow[out_name].size
-                    if out_name in dataflow else 0,
-                    def_node=node_id,
-                    def_visit=visit.index,
-                    def_kind=COMPUTE,
-                    extents=extents,
-                    kept=out_name in keeps_by_name
-                    and keeps_by_name[out_name].fb_set == fb_set,
-                )
-                previous = in_set.get((out_name, run.iteration))
-                if previous is not None:
-                    close_value(previous, visit.index, node_id)
-                values.append(value)
-                in_set[(out_name, run.iteration)] = value
-                if extents:
-                    accesses.append(Access(
-                        "fb", fb_set, extents, True, value.value_id,
-                    ))
-            compute_ids.append(new_node(COMPUTE, visit.index, run, accesses))
-
-        store_ids: List[int] = []
-        for store in ops.stores:
-            value = in_set.get((store.name, store.iteration))
-            accesses = []
-            node_id = len(nodes)
-            if value is not None:
-                value.store_nodes.append(node_id)
-                if value.extents:
-                    accesses.append(Access(
-                        "fb", fb_set, value.extents, False, value.value_id,
-                    ))
-            store_ids.append(new_node(STORE, visit.index, store, accesses))
-
-        visit_nodes.append(VisitNodes(
-            visit_index=visit.index,
-            context_loads=tuple(ctx_ids),
-            data_loads=tuple(load_ids),
-            compute=tuple(compute_ids),
-            stores=tuple(store_ids),
+    def on_context_load(self, ops: VisitOps, load, extent) -> None:
+        self.groups[0].append(self._node(
+            CONTEXT_LOAD, ops, load,
+            [Access("cm", ops.visit.cm_block, (extent,), True)],
         ))
 
-        # Visit end: drain non-survivors from the visit's set.
-        group = visit_nodes[-1]
+    def on_load(self, ops: VisitOps, load, previous) -> ValueLifetime:
+        value = self._value(ops, load.name, load.iteration, load.words,
+                            DATA_LOAD, previous)
+        self.groups[1].append(self._node(
+            DATA_LOAD, ops, load,
+            [Access("fb", value.fb_set, value.extents, True, value.value_id)]
+            if value.extents else [],
+        ))
+        return value
+
+    def begin_run(self, ops: VisitOps, run, region) -> None:
+        self.accesses = (
+            [] if region is None
+            else [Access("cm", ops.visit.cm_block, (region,), False)]
+        )
+
+    def on_operand(self, ops: VisitOps, run, name: str, instance: int,
+                   home: int, value: ValueLifetime) -> None:
+        value.uses.append(len(self.nodes))
+        if value.extents:
+            self.accesses.append(Access(
+                "fb", value.fb_set, value.extents, False, value.value_id,
+            ))
+
+    def on_output(self, ops: VisitOps, run, name: str,
+                  previous) -> ValueLifetime:
+        value = self._value(
+            ops, name, run.iteration,
+            self.dataflow[name].size if name in self.dataflow else 0,
+            COMPUTE, previous,
+        )
+        if value.extents:
+            self.accesses.append(Access(
+                "fb", value.fb_set, value.extents, True, value.value_id,
+            ))
+        return value
+
+    def end_run(self, ops: VisitOps, run) -> None:
+        self.groups[2].append(self._node(COMPUTE, ops, run, self.accesses))
+
+    def on_store(self, ops: VisitOps, store, value) -> None:
+        accesses = []
+        if value is not None:
+            value.store_nodes.append(len(self.nodes))
+            if value.extents:
+                accesses.append(Access(
+                    "fb", value.fb_set, value.extents, False, value.value_id,
+                ))
+        self.groups[3].append(self._node(STORE, ops, store, accesses))
+
+    def on_drain(self, ops: VisitOps, released) -> None:
+        visit = ops.visit
+        group = VisitNodes(visit.index, *(tuple(ids) for ids in self.groups))
+        self.visit_nodes.append(group)
+        self.groups = ([], [], [], [])
         if (group.stores or group.compute or group.data_loads
                 or group.context_loads):
             end_node = group.last
         else:
-            end_node = max(len(nodes) - 1, 0)
-        survivors_key = (visit.cluster_index, fb_set)
-        survivors = survivors_memo.get(survivors_key)
-        if survivors is None:
-            survivors = drain_survivors(schedule, visit.cluster_index, fb_set)
-            survivors_memo[survivors_key] = survivors
-        drained = {
-            key: value for key, value in in_set.items()
-            if key[0] not in survivors
-        }
-        for key, value in drained.items():
-            close_value(value, visit.index, end_node)
-            del in_set[key]
-        for value in in_set.values():
-            value.survived_drain = True
-        # Round end on the last cluster: both sets drain completely.
-        if visit.cluster_index == len(clustering) - 1:
-            for other_set in (0, 1):
-                for value in live[other_set].values():
-                    close_value(value, visit.index, end_node)
-                live[other_set].clear()
-
-    # A well-formed program drains everything; close leftovers anyway so
-    # broken programs still produce a complete IR.
-    last_node = len(nodes) - 1
-    last_visit = program.visits[-1].visit.index if program.visits else -1
-    for fb_set in (0, 1):
-        for value in live[fb_set].values():
-            close_value(value, last_visit, max(last_node, 0))
-        live[fb_set] = {}
-
-    return ProgramIR(
-        program=program,
-        nodes=nodes,
-        visit_nodes=visit_nodes,
-        values=values,
-        has_placement=placement is not None,
-        fb_capacity=schedule.fb_set_words,
-        cm_block_capacity=schedule.context_block_words
-        or _derived_block_capacity(program.visits),
-    )
-
-
-def _derived_block_capacity(visits: Sequence[VisitOps]) -> int:
-    """The verifier's fallback CM capacity when the schedule has none."""
-    return max((ops.context_words for ops in visits), default=0) or 1
+            end_node = max(len(self.nodes) - 1, 0)
+        for bucket in released:
+            for value in bucket.values():
+                _close(value, visit.index, end_node)
+        for bucket in self.resident[visit.fb_set].values():
+            for value in bucket.values():
+                value.survived_drain = True

@@ -231,11 +231,6 @@ class TransferSummary:
         """Data traffic per application iteration."""
         return self.total_data_words / self.total_iterations
 
-    @property
-    def context_words_per_iteration(self) -> float:
-        """Context traffic per application iteration."""
-        return self.total_context_words / self.total_iterations
-
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "TransferSummary":
         dataflow = schedule.dataflow

@@ -35,14 +35,15 @@ assert it).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.dma import TransferKind
 from repro.arch.machine import MorphoSysM1
 from repro.codegen.program import Program
-from repro.codegen.verifier import drain_survivors, verify_program
+from repro.codegen.residency import ResidencyReplay
+from repro.codegen.verifier import verify_program
 from repro.errors import SimulationError
 from repro.schedule.context_scheduler import (
     ContextScheduler,
@@ -92,9 +93,6 @@ class Simulator:
         #: pass (``repro.dataflow``) — property-tested to agree.
         self.functional_loaded_words: Optional[int] = None
         self.functional_dead_words: Optional[int] = None
-        self._load_watch: Dict[tuple, int] = {}
-        self._dead_words = 0
-        self._loaded_words = 0
 
     # -- public API --------------------------------------------------------
 
@@ -122,19 +120,11 @@ class Simulator:
         functional = self.machine.functional if functional is None else functional
 
         application = program.schedule.application
-        impls: Dict[str, KernelImpl] = {}
-        golden = {}
+        movement: Optional[_DataMovement] = None
         if functional:
-            impls = build_impls(application, kernel_impls or {})
-            if not any(
-                self.machine.external_memory.exists(name, 0)
-                for name in application.external_inputs()
-            ):
-                populate_external_inputs(
-                    application, self.machine.external_memory, seed=seed
-                )
-            golden = reference_outputs(
-                application, self.machine.external_memory, impls
+            movement = _DataMovement(
+                program.schedule, self.machine.external_memory,
+                build_impls(application, kernel_impls or {}), seed,
             )
         else:
             self._populate_accounting(application)
@@ -145,23 +135,17 @@ class Simulator:
         # one machine silently flip each other's tracing.
         dma_record_trace = self.machine.dma.record_trace
         self.machine.dma.record_trace = self.trace
-        if functional:
-            self._load_watch = {}
-            self._dead_words = 0
-            self._loaded_words = 0
         try:
-            timings = self._execute(program, functional, impls)
+            timings = self._execute(program, movement)
         finally:
             self.machine.dma.record_trace = dma_record_trace
 
         verified: Optional[bool] = None
-        if functional:
-            verified = self._check_outputs(application, golden)
+        if movement is not None:
+            verified = movement.check_outputs()
             # Loads still unread at program end were pure wasted traffic.
-            self.functional_loaded_words = self._loaded_words
-            self.functional_dead_words = (
-                self._dead_words + sum(self._load_watch.values())
-            )
+            self.functional_loaded_words = movement.loaded_words
+            self.functional_dead_words = movement.dead_words + sum(movement.watch.values())
 
         dma = self.machine.dma
         compute_cycles = sum(t.compute_end - t.compute_start for t in timings)
@@ -190,16 +174,12 @@ class Simulator:
     # -- timing engine ---------------------------------------------------
 
     def _execute(
-        self,
-        program: Program,
-        functional: bool,
-        impls: Mapping[str, KernelImpl],
+        self, program: Program, movement: Optional[_DataMovement]
     ) -> List[VisitTiming]:
         visits = program.visits
         if not visits:
             return []
         dma = self.machine.dma
-        fb_values: Tuple[Dict, Dict] = ({}, {})
 
         count = len(visits)
         prep_finish = [0] * count
@@ -351,16 +331,11 @@ class Simulator:
             start = max(prep_finish[index], previous_end)
             end = start + ops.compute_cycles
             compute_end[index] = end
-            if functional:
+            if movement is not None:
                 # Functional data movement follows strict program order
                 # (the verifier's order); DMA timing is tracked
                 # independently below.
-                for load in ops.data_loads:
-                    self._do_load(load, fb_values)
-                self._do_compute(program, index, fb_values, impls)
-                for store in ops.stores:
-                    self._do_store(store, fb_values)
-                self._drain_set(program, index, fb_values)
+                movement.step(ops)
             timings.append(
                 VisitTiming(
                     index=ops.visit.index,
@@ -443,93 +418,79 @@ class Simulator:
                 if not exists(name, iteration):
                     put(name, iteration, size=size)
 
-    # -- functional data movement ---------------------------------------
+class _DataMovement(ResidencyReplay[np.ndarray]):
+    """Functional data movement: the residency replay carrying real
+    values between external memory and the FB sets.
 
-    def _do_load(self, load, fb_values) -> None:
-        values = self.machine.external_memory.read(
-            load.name, load.iteration, load.words
-        )
+    It also watches every loaded instance until a kernel reads it: a
+    reload over an unread copy, or a copy still unread at program end,
+    is dead traffic (the dynamic counterpart of ``DFA001``).
+    """
+
+    def __init__(self, schedule, memory, impls: Mapping[str, KernelImpl],
+                 seed: int):
+        super().__init__(schedule)
+        application = schedule.application
+        if not any(
+            memory.exists(name, 0) for name in application.external_inputs()
+        ):
+            populate_external_inputs(application, memory, seed=seed)
+        self.golden = reference_outputs(application, memory, impls)
+        self.memory = memory
+        self.impls = impls
+        self.inputs: Dict[str, np.ndarray] = {}
+        self.outputs: Mapping[str, object] = {}
+        self.watch: Dict[Tuple[int, str, int], int] = {}
+        self.dead_words = 0
+        self.loaded_words = 0
+
+    def on_load(self, ops, load, previous) -> np.ndarray:
+        values = self.memory.read(load.name, load.iteration, load.words)
         if values is None:
             raise SimulationError(
                 f"functional load of {load.name}#{load.iteration}: external "
                 f"memory holds no values"
             )
-        fb_values[load.fb_set][(load.name, load.iteration)] = values
-        watch_key = (load.fb_set, load.name, load.iteration)
-        # A reload over an unread copy means the first copy was dead.
-        self._dead_words += self._load_watch.pop(watch_key, 0)
-        self._load_watch[watch_key] = load.words
-        self._loaded_words += load.words
+        watch_key = (ops.visit.fb_set, load.name, load.iteration)
+        self.dead_words += self.watch.pop(watch_key, 0)
+        self.watch[watch_key] = load.words
+        self.loaded_words += load.words
+        return values
 
-    def _do_store(self, store, fb_values) -> None:
-        key = (store.name, store.iteration)
-        if key not in fb_values[store.fb_set]:
+    def begin_run(self, ops, run, region) -> None:
+        self.inputs = {}
+
+    def on_operand(self, ops, run, name, instance, home, value) -> None:
+        self.inputs[name] = value
+        self.watch.pop((home, name, instance), None)
+
+    def on_missing_operand(self, ops, run, name, instance) -> None:
+        raise SimulationError(
+            f"kernel {run.kernel!r}#{run.iteration}: input "
+            f"{name!r} not in set{ops.visit.fb_set}"
+        )
+
+    def on_execute(self, ops, run) -> None:
+        self.outputs = self.impls[run.kernel](self.inputs, run.iteration)
+
+    def on_output(self, ops, run, name, previous) -> np.ndarray:
+        return np.asarray(self.outputs[name], dtype=np.int64)
+
+    def on_store(self, ops, store, value) -> None:
+        if value is None:
             raise SimulationError(
                 f"functional store of {store.name}#{store.iteration}: "
-                f"not in set{store.fb_set}"
+                f"not in set{ops.visit.fb_set}"
             )
-        self.machine.external_memory.write(
-            store.name, store.iteration, store.words,
-            values=fb_values[store.fb_set][key],
+        self.memory.write(
+            store.name, store.iteration, store.words, values=value
         )
 
-    def _do_compute(self, program: Program, index: int, fb_values, impls) -> None:
-        ops = program.visits[index]
-        application = program.schedule.application
-        dataflow = program.schedule.dataflow
-        keeps_by_name = {k.name: k for k in program.schedule.keeps}
-        for run in ops.compute:
-            kernel = application.kernel(run.kernel)
-            inputs = {}
-            for in_name in kernel.inputs:
-                instance = 0 if dataflow[in_name].invariant else run.iteration
-                key = (in_name, instance)
-                if key in fb_values[run.fb_set]:
-                    inputs[in_name] = fb_values[run.fb_set][key]
-                    self._load_watch.pop((run.fb_set, *key), None)
-                    continue
-                keep = keeps_by_name.get(in_name)
-                if (
-                    keep is not None
-                    and keep.fb_set != run.fb_set
-                    and key in fb_values[keep.fb_set]
-                ):
-                    # Cross-set retention: read the operand in place.
-                    inputs[in_name] = fb_values[keep.fb_set][key]
-                    self._load_watch.pop((keep.fb_set, *key), None)
-                    continue
-                raise SimulationError(
-                    f"kernel {run.kernel!r}#{run.iteration}: input "
-                    f"{in_name!r} not in set{run.fb_set}"
-                )
-            outputs = impls[run.kernel](inputs, run.iteration)
-            for out_name in kernel.outputs:
-                fb_values[run.fb_set][(out_name, run.iteration)] = np.asarray(
-                    outputs[out_name], dtype=np.int64
-                )
-
-    def _drain_set(self, program: Program, index: int, fb_values) -> None:
-        """Drop non-kept contents after a visit's stores complete."""
-        schedule = program.schedule
-        visit = program.visits[index].visit
-        # Round end on the last cluster: the set drains completely.
-        survivors: Set[str] = (
-            set()
-            if visit.cluster_index == len(schedule.clustering) - 1
-            else drain_survivors(schedule, visit.cluster_index, visit.fb_set)
-        )
-        retained = {
-            key: value
-            for key, value in fb_values[visit.fb_set].items()
-            if key[0] in survivors
-        }
-        fb_values[visit.fb_set].clear()
-        fb_values[visit.fb_set].update(retained)
-
-    def _check_outputs(self, application, golden) -> bool:
-        memory = self.machine.external_memory
-        for (name, iteration), expected in golden.items():
-            actual = memory.get(name, iteration)
+    def check_outputs(self) -> bool:
+        """Every final output in external memory must equal the
+        reference execution's."""
+        for (name, iteration), expected in self.golden.items():
+            actual = self.memory.get(name, iteration)
             if actual is None or not np.array_equal(actual, expected):
                 raise SimulationError(
                     f"functional mismatch: final output {name}#{iteration} "

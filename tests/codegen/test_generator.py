@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.alloc.allocator import FrameBufferAllocator
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.core.cluster import Clustering
+from repro.obs.events import DecisionTrace
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
+from repro.workloads import paper_experiments
 
 
 def _program(app, clustering, scheduler_cls=CompleteDataScheduler, fb="2K"):
@@ -85,12 +88,39 @@ class TestStructure:
 
     def test_load_order_matches_allocator(self, sharing_app,
                                           sharing_clustering):
-        """Kept shared data come first, then inputs by last consumer."""
-        program, schedule = _program(sharing_app, sharing_clustering)
-        first_visit = program.visits[0]
-        names = [l.name for l in first_visit.data_loads]
+        """Every cluster loads its inputs in the order the Figure-4
+        allocator places them (kept shared data first, then inputs by
+        last consumer), on the sharing fixture and every paper
+        experiment under all three schedulers."""
+        cases = [(sharing_app, sharing_clustering, "2K")] + [
+            (*spec.build(), spec.fb) for spec in paper_experiments()
+        ]
+        checked = 0
+        for app, clustering, fb in cases:
+            for scheduler_cls in (BasicScheduler, DataScheduler,
+                                  CompleteDataScheduler):
+                program, schedule = _program(app, clustering, scheduler_cls, fb)
+                trace = DecisionTrace()
+                FrameBufferAllocator(schedule, decisions=trace).allocate()
+                for cluster in clustering:
+                    loaded = set(schedule.plan_for(cluster.index).loads)
+                    placed = [
+                        event.subject for event in trace.of_kind("alloc.place")
+                        if event.detail["cluster_index"] == cluster.index
+                        and event.subject in loaded
+                    ]
+                    ops = next(
+                        ops for ops in program
+                        if ops.visit.cluster_index == cluster.index
+                    )
+                    names = [load.name for load in ops.data_loads]
+                    assert list(dict.fromkeys(names)) == \
+                        list(dict.fromkeys(placed)), (app.name, cluster.name)
+                    checked += bool(names)
+        assert checked > 100
         # 'shared' is kept with first consumer = cluster 0 -> leads.
-        assert names[0] == "shared"
+        program, _ = _program(sharing_app, sharing_clustering)
+        assert program.visits[0].data_loads[0].name == "shared"
 
     def test_stores_emitted_per_iteration(self, sharing_app,
                                           sharing_clustering):

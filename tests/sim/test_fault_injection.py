@@ -15,7 +15,10 @@ from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.codegen.program import Program
+from repro.core.application import Application
+from repro.core.cluster import Clustering
 from repro.errors import ProgramVerificationError, SimulationError
+from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.sim.engine import Simulator
 
@@ -113,6 +116,47 @@ class TestCorruptedPrograms:
         bad = Program(schedule=program.schedule, visits=tuple(visits))
         machine = MorphoSysM1(Architecture.m1("2K"), functional=True)
         with pytest.raises(SimulationError, match="not in set"):
+            Simulator(machine, verify=False).run(bad, functional=True)
+
+
+class TestRoundEndDrain:
+    def test_stale_copy_from_previous_round_is_not_read(self):
+        """The last cluster of a round drains *both* FB sets.  An
+        invariant datum kept cross-set in set 0 must be reloaded in
+        round 1; with that reload dropped, the unverified functional
+        run must not read the round-0 copy left in the set."""
+        app = (
+            Application.build("cross", total_iterations=8)
+            .data("d1", 128).data("d2", 128)
+            .data("both", 96, invariant=True)
+            .kernel("k1", context_words=16, cycles=200,
+                    inputs=["d1", "both"],
+                    outputs=["r1"], result_sizes={"r1": 64})
+            .kernel("k2", context_words=16, cycles=200,
+                    inputs=["d2", "both", "r1"],
+                    outputs=["out"], result_sizes={"out": 64})
+            .final("out")
+            .finish()
+        )
+        architecture = Architecture.m1("1K", fb_cross_set_access=True)
+        schedule = CompleteDataScheduler(
+            architecture, ScheduleOptions(cross_set_retention=True)
+        ).schedule(app, Clustering.per_kernel(app))
+        assert (schedule.rf, schedule.rounds) == (4, 2)
+        assert "both" in schedule.keep_names()
+        visits = list(generate_program(schedule).visits)
+        reload = visits[2]
+        assert (reload.visit.round_index, reload.visit.cluster_index) == (1, 0)
+        visits[2] = dataclasses.replace(
+            reload,
+            data_loads=tuple(
+                load for load in reload.data_loads
+                if (load.name, load.iteration) != ("both", 0)
+            ),
+        )
+        bad = Program(schedule=schedule, visits=tuple(visits))
+        machine = MorphoSysM1(architecture, functional=True)
+        with pytest.raises(SimulationError, match="'both' not in set0"):
             Simulator(machine, verify=False).run(bad, functional=True)
 
 
